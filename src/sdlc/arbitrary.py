@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import DegenerateHypothesisError
 from .forster import ForsterOutput, forster_transform, pullback_separator
 from .geometry import RngStream, sample_sphere
-from .perceptron import Hypothesis, mp_update
+from .perceptron import Hypothesis, margin_perceptron_pass
 from .transcript import LabelOracle, Transcript
 
 PHASE_WEAK = "weak"
@@ -30,7 +29,7 @@ PHASE_WEAK = "weak"
 class WeakRunResult:
     """One weak-learner attempt over a working set U of retained points."""
 
-    labels: list[tuple[int, int]]
+    labels: np.ndarray  # (revealed, 2) int64 rows: dataset index, revealed label
     mistakes: int
     terminated_by: str  # "coverage" | "budget"
     k: int
@@ -62,9 +61,10 @@ def weak_run(
 
     Steps: isotropize the working points (keeping at least a k/d fraction
     in working dimension k), draw w uniformly from the unit sphere of
-    that subspace, then sweep: predict retained points in decreasing
-    |w . x| order until a mistake, update, re-sort, repeat. Every
-    revealed label (corrected on a mistake) is accumulated in `labels`.
+    that subspace, then sweep: one margin_perceptron_pass over the
+    retained points in the working frame (decreasing |w . x| order until a
+    mistake, update_or_flip), re-sort, repeat. Every revealed label is
+    accumulated, in reveal order, as a row of `labels`.
     Terminates by coverage once |labels| >= |U|/(4k), or by budget after
     5 k ln k sweeps (one sweep minimum, so k = 1 still gets its
     sign-fixing update).
@@ -92,39 +92,23 @@ def weak_run(
 
     budget = weak_sweep_budget(k)
     target = m / (4.0 * k)
-    labels: list[tuple[int, int]] = []
-    mistakes = 0
+    labels: list[np.ndarray] = []
+    covered = mistakes = 0
     remaining = np.arange(m)
     terminated_by = "budget"
     for _ in range(budget):
         if remaining.size == 0:
             break
-        margins = U[remaining] @ h.w
-        order = np.argsort(-np.abs(margins), kind="stable")
-        ordered = remaining[order]
-        preds = np.where(margins[order] >= 0.0, 1, -1)
-        revealed, hit = oracle.predict_until_mistake(
-            orig[ordered], preds, margins[order], phase)
-        for j in range(revealed):
-            lab = int(preds[j])
-            if hit and j == revealed - 1:
-                lab = -lab
-            labels.append((int(orig[ordered[j]]), lab))
-        remaining = np.sort(ordered[revealed:])
-        if hit:
-            mistakes += 1
-            x = U[ordered[revealed - 1]]
-            if k == 1:
-                # The update annihilates any 1-D hypothesis; reverse instead.
-                h = Hypothesis(-h.w)
-            else:
-                try:
-                    h = mp_update(h, x)
-                except DegenerateHypothesisError:
-                    h = Hypothesis(-h.w)
-        if len(labels) >= target:
+        result = margin_perceptron_pass(oracle, orig[remaining], h, phase, points=U[remaining])
+        h = result.hypothesis
+        mistakes += int(result.updated)
+        labels.append(result.labels)
+        covered += result.predictions
+        remaining = remaining[~oracle.predicted_mask()[orig[remaining]]]
+        if covered >= target:
             terminated_by = "coverage"
             break
+    labels = np.concatenate(labels) if labels else np.empty((0, 2), dtype=np.int64)
     return WeakRunResult(labels, mistakes, terminated_by, k, m, initial_ok, out)
 
 

@@ -8,15 +8,19 @@ every dataset is linearly separable by construction.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedRecordError
-from .geometry import RngStream, as_vector, predict_sign, sample_sphere, sample_sphere_batch
+from .geometry import (
+    UNIT_TOL, RngStream, as_vector, predict_sign, predict_signs, sample_sphere, sample_sphere_batch,
+)
 
 ARBITRARY_FAMILIES = ("clustered", "low_margin", "subspace_degenerate", "grid")
+_NUMBER_TYPES = frozenset((int, float))
 
 
 @dataclass
@@ -53,13 +57,7 @@ class LabeledDataset:
         """Check labels[i] == sign(w* . x_i) for all i (sign(0) = +1)."""
         if self.ground_truth is None:
             raise ValueError("dataset has no ground truth")
-        margins = self.points @ self.ground_truth
-        expected = np.where(margins >= 0.0, 1, -1)
-        return bool(np.array_equal(expected, self.labels))
-
-
-def _labels_from_truth(points: np.ndarray, w_star: np.ndarray) -> np.ndarray:
-    return np.where(points @ w_star >= 0.0, 1, -1).astype(np.int64)
+        return bool(np.array_equal(predict_labels(self.points, self.ground_truth), self.labels))
 
 
 def gen_uniform_sphere(n: int, d: int, rng: RngStream) -> LabeledDataset:
@@ -72,7 +70,7 @@ def gen_uniform_sphere(n: int, d: int, rng: RngStream) -> LabeledDataset:
         raise ValueError(f"dataset size must be >= 1, got {n}")
     points = sample_sphere_batch(n, d, rng.child(0))
     w_star = sample_sphere(d, rng.child(1))
-    return LabeledDataset(points, _labels_from_truth(points, w_star), w_star)
+    return LabeledDataset(points, predict_labels(points, w_star), w_star)
 
 
 def _orthonormal_basis(d: int, k: int, rng: RngStream) -> np.ndarray:
@@ -125,7 +123,7 @@ def _gen_clustered(n: int, d: int, params: dict, rng: RngStream) -> LabeledDatas
             if abs(float(p @ w_star)) >= floor:
                 break
         points[i] = p
-    return LabeledDataset(points, _labels_from_truth(points, w_star), w_star)
+    return LabeledDataset(points, predict_labels(points, w_star), w_star)
 
 
 def _gen_low_margin(n: int, d: int, params: dict, rng: RngStream) -> LabeledDataset:
@@ -148,7 +146,7 @@ def _gen_low_margin(n: int, d: int, params: dict, rng: RngStream) -> LabeledData
                 break
         y /= norm
         points[i] = side * gamma * w_star + np.sqrt(1.0 - gamma * gamma) * y
-    return LabeledDataset(points, _labels_from_truth(points, w_star), w_star)
+    return LabeledDataset(points, predict_labels(points, w_star), w_star)
 
 
 def _gen_subspace_degenerate(n: int, d: int, params: dict, rng: RngStream) -> LabeledDataset:
@@ -167,29 +165,28 @@ def _gen_subspace_degenerate(n: int, d: int, params: dict, rng: RngStream) -> La
     points = np.vstack([inside, outside])
     perm = rng.child(4).gen.permutation(n)
     points = points[perm]
-    return LabeledDataset(points, _labels_from_truth(points, w_star), w_star)
+    return LabeledDataset(points, predict_labels(points, w_star), w_star)
 
 
 def _gen_grid(n: int, d: int, params: dict, rng: RngStream) -> LabeledDataset:
-    """First n directions of the integer lattice, enumerated shell by shell."""
-    points = []
-    radius = 1
-    while len(points) < n:
-        # All integer vectors with infinity-norm exactly `radius`, lexicographic.
-        rng_1d = np.arange(-radius, radius + 1)
-        mesh = np.meshgrid(*([rng_1d] * d), indexing="ij")
-        lattice = np.stack([m.ravel() for m in mesh], axis=1)
-        shell = lattice[np.max(np.abs(lattice), axis=1) == radius]
-        for row in shell:
-            points.append(row / np.linalg.norm(row))
-            if len(points) == n:
-                break
-        radius += 1
-        if radius > 40:  # lattice big enough for any sane n; avoid runaway loops
-            raise ValueError(f"grid family cannot produce {n} points in dimension {d}")
-    pts = np.asarray(points)
+    """First n directions of the integer lattice, enumerated shell by shell.
+
+    Each shell (all integer vectors of infinity-norm `radius`) is walked
+    lazily in lexicographic order, so only the n points kept are built.
+    """
+    points: list[tuple[int, ...]] = []
+    for radius in range(1, 41):  # lattice big enough for any sane n; avoid runaway loops
+        cube = itertools.product(range(-radius, radius + 1), repeat=d)
+        shell = (row for row in cube if max(map(abs, row)) == radius)
+        points.extend(itertools.islice(shell, n - len(points)))
+        if len(points) == n:
+            break
+    else:
+        raise ValueError(f"grid family cannot produce {n} points in dimension {d}")
+    pts = np.asarray(points, dtype=np.float64)
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
     w_star = sample_sphere(d, rng.child(1))
-    return LabeledDataset(pts, _labels_from_truth(pts, w_star), w_star)
+    return LabeledDataset(pts, predict_labels(pts, w_star), w_star)
 
 
 def gen_arbitrary(family: str, n: int, d: int, params: dict | None, rng: RngStream) -> LabeledDataset:
@@ -264,14 +261,17 @@ def load_jsonl(path: str) -> LabeledDataset:
             x, y = rec["x"], rec["y"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise MalformedRecordError(i, f"bad record: {exc}") from None
-        if not isinstance(x, list) or len(x) != d:
-            raise MalformedRecordError(i, f"x must be a list of {d} floats")
-        if y not in (-1, 1):
-            raise MalformedRecordError(i, f"label must be -1 or +1, got {y!r}")
+        # Exact types: numpy would turn "0.6" and true into numbers on assignment.
+        if not isinstance(x, list) or len(x) != d or not _NUMBER_TYPES.issuperset(map(type, x)):
+            raise MalformedRecordError(i, f"x must be a list of {d} numbers")
+        if type(y) is not int or y not in (-1, 1):
+            raise MalformedRecordError(i, f"label must be the integer -1 or +1, got {y!r}")
         points[i - 2] = x
         labels[i - 2] = y
-    if not np.all(np.isfinite(points)):
-        raise MalformedRecordError(0, "points contain non-finite coordinates")
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))  # no (n, d) temporary
+    off_sphere = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
+    if off_sphere.size:
+        raise MalformedRecordError(int(off_sphere[0]) + 2, "x must be a finite unit vector")
     gt = None if truth is None else np.asarray(truth, dtype=np.float64)
     return LabeledDataset(points, labels, gt)
 
@@ -287,7 +287,7 @@ def export_csv(ds: LabeledDataset, path: str) -> None:
 
 def predict_labels(points: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Vectorized sign(w . x) with the sign(0) = +1 convention."""
-    return np.where(points @ w >= 0.0, 1, -1).astype(np.int64)
+    return predict_signs(points @ w)
 
 
 __all__ = [

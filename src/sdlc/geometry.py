@@ -139,3 +139,8 @@ def in_disagreement(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
 def predict_sign(value: float) -> int:
     """Label convention used everywhere: sign(0) := +1."""
     return 1 if value >= 0.0 else -1
+
+
+def predict_signs(values) -> np.ndarray:
+    """Vectorised predict_sign: an int64 array of +1 (value >= 0) and -1."""
+    return np.where(np.asarray(values) >= 0.0, 1, -1).astype(np.int64, copy=False)

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import DegenerateHypothesisError, InfeasibleParametersError, RegimeError
-from .geometry import RngStream, sample_sphere
-from .perceptron import Hypothesis, mp_update
+from .errors import InfeasibleParametersError, RegimeError
+from .geometry import RngStream, predict_signs, sample_sphere
+from .perceptron import Hypothesis, update_or_flip
 from .transcript import LabelOracle, Transcript
 
 
@@ -260,25 +260,11 @@ def simulate_superlinear(
     return TailCheckResult(emp, delta, se, trials, {"rounds": T})
 
 
-class OnlineMarginPerceptron:
-    """Margin-perceptron that updates on every mistake; order-policy agnostic."""
-
-    def __init__(self, h: Hypothesis):
-        self.hypothesis = h
-
-    def update(self, x: np.ndarray) -> None:
-        try:
-            self.hypothesis = mp_update(self.hypothesis, x)
-        except DegenerateHypothesisError:
-            # x parallel to w (always the case in dimension 1): reverse.
-            self.hypothesis = Hypothesis(-self.hypothesis.w)
-
-
 def random_order_run(ds: LabeledDataset, rng: RngStream) -> Transcript:
     """Predict all points in a uniformly random order, updating on mistakes."""
     oracle = LabelOracle(ds)
     order = rng.child(0).gen.permutation(ds.n)
-    learner = OnlineMarginPerceptron(Hypothesis(sample_sphere(ds.d, rng.child(1))))
+    h = Hypothesis(sample_sphere(ds.d, rng.child(1)))
     # Scanning in blocks keeps the per-mistake cost at O(block) instead of
     # O(n) without changing a single prediction: the hypothesis is fixed
     # between mistakes, so a prefix scan sees the same margins either way.
@@ -286,18 +272,17 @@ def random_order_run(ds: LabeledDataset, rng: RngStream) -> Transcript:
     pos = 0
     while pos < order.size:
         rest = order[pos:pos + block]
-        margins = oracle.points[rest] @ learner.hypothesis.w
-        preds = np.where(margins >= 0.0, 1, -1)
-        revealed, hit = oracle.predict_until_mistake(rest, preds, margins, "random-order")
+        margins = oracle.points[rest] @ h.w
+        revealed, hit = oracle.predict_until_mistake(rest, predict_signs(margins), margins, "random-order")
         pos += revealed
         if hit:
-            learner.update(oracle.points[rest[revealed - 1]])
+            h = update_or_flip(h, oracle.points[rest[revealed - 1]])
     return oracle.transcript
 
 
 def greedy_adversarial_order(
     ds: LabeledDataset,
-    learner: OnlineMarginPerceptron | None = None,
+    h: Hypothesis | None = None,
     rng: RngStream | None = None,
 ) -> Transcript:
     """Always serve the unlabeled point with the smallest |w . x|.
@@ -306,19 +291,19 @@ def greedy_adversarial_order(
     hypothesis is least confident about (ties broken by index). The
     hypothesis is fixed between mistakes, so predictions proceed in the
     pre-sorted ascending-margin order and re-sort after each update.
+    Starts from `h`, or from a random unit vector drawn from `rng`.
     """
     oracle = LabelOracle(ds)
-    if learner is None:
+    if h is None:
         if rng is None:
-            raise ValueError("need either a learner or an rng to build one")
-        learner = OnlineMarginPerceptron(Hypothesis(sample_sphere(ds.d, rng.child(1))))
+            raise ValueError("need either a starting hypothesis or an rng to draw one")
+        h = Hypothesis(sample_sphere(ds.d, rng.child(1)))
     while not oracle.all_predicted():
         remaining = oracle.unpredicted_indices()
-        margins = oracle.points[remaining] @ learner.hypothesis.w
+        margins = oracle.points[remaining] @ h.w
         order = np.argsort(np.abs(margins), kind="stable")
-        ordered = remaining[order]
-        preds = np.where(margins[order] >= 0.0, 1, -1)
-        revealed, hit = oracle.predict_until_mistake(ordered, preds, margins[order], "greedy-order")
+        ordered, margins = remaining[order], margins[order]
+        revealed, hit = oracle.predict_until_mistake(ordered, predict_signs(margins), margins, "greedy-order")
         if hit:
-            learner.update(oracle.points[ordered[revealed - 1]])
+            h = update_or_flip(h, oracle.points[ordered[revealed - 1]])
     return oracle.transcript

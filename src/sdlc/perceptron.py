@@ -7,6 +7,12 @@ The update rule is the projecting one: on a mistake at x (unit norm),
 which removes x's component from w. It never increases the angle to the
 true normal and, when the mistake margin is a fraction r of ||w|| sin(theta),
 contracts tan^2(theta) by at least (1 - r^2).
+
+`update_or_flip` is the one mistake rule every learner and baseline
+uses: the projection update, or w -> -w when the mistake point is
+parallel to w (always so in dimension 1) and the projection would zero
+it. `margin_perceptron_pass` is the one ordered kernel: sort by
+decreasing |w . x|, predict until the first mistake, update_or_flip.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHypothesisError
-from .geometry import predict_sign
+from .geometry import angle, predict_sign, predict_signs, tan_theta
 from .transcript import LabelOracle
 
 NORM_FLOOR = 1e-300
@@ -70,6 +76,20 @@ def mp_update(h: Hypothesis, x: np.ndarray) -> Hypothesis:
     return Hypothesis(w_next)
 
 
+def update_or_flip(h: Hypothesis, x: np.ndarray) -> Hypothesis:
+    """Mistake update at x: the projection, or w -> -w when it would zero w.
+
+    The point is then parallel to w, as every point is in dimension 1,
+    and flipping w is the norm-preserving move that corrects it.
+    """
+    if h.w.size > 1:
+        try:
+            return mp_update(h, x)
+        except DegenerateHypothesisError:
+            pass
+    return Hypothesis(-h.w)
+
+
 def decay_bound(theta: float, r: float) -> float:
     """Upper bound on tan^2 after a mistake with margin fraction r.
 
@@ -104,6 +124,7 @@ class PassResult:
     predictions: int     # how many labels this pass revealed
     mistake_index: int | None = None
     update_record: UpdateRecord | None = None
+    labels: np.ndarray | None = None  # (predictions, 2): index, revealed label
 
 
 def margin_perceptron_pass(
@@ -112,45 +133,43 @@ def margin_perceptron_pass(
     h: Hypothesis,
     phase: str = "",
     ground_truth: np.ndarray | None = None,
+    points: np.ndarray | None = None,
 ) -> PassResult:
     """One max-margin pass: predict in decreasing |w . x| order, update once.
 
     Points are predicted from the largest absolute margin down (ties by
-    lower index). The first mistake triggers the update and ends the
-    pass; the remaining points stay unpredicted. Every prediction made is
-    revealed through the oracle and logged.
+    position in `indices`). The first mistake triggers update_or_flip and
+    ends the pass; the remaining points stay unpredicted. Every
+    prediction made is revealed through the oracle and logged. `points`,
+    when given, holds the rows that are scored and updated on in place
+    of oracle.points[indices] (one row per index, e.g. in a transformed
+    frame).
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         return PassResult(h, False, 0)
-    pts = oracle.points[indices]
-    margins = pts @ h.w
-    abs_m = np.abs(margins)
-    # stable sort on (-|margin|, index): sort by index is implicit since
-    # `indices` is ascending and kind="stable" preserves it within ties.
-    order = np.argsort(-abs_m, kind="stable")
-    ordered = indices[order]
-    preds = np.where(margins[order] >= 0.0, 1, -1)
-    revealed, hit = oracle.predict_until_mistake(ordered, preds, margins[order], phase)
+    if points is None:
+        points = oracle.points[indices]
+    margins = points @ h.w
+    order = np.argsort(-np.abs(margins), kind="stable")
+    ordered, margins = indices[order], margins[order]
+    preds = predict_signs(margins)
+    revealed, hit = oracle.predict_until_mistake(ordered, preds, margins, phase)
+    labels = np.column_stack((ordered[:revealed], preds[:revealed]))
     if not hit:
-        return PassResult(h, False, revealed)
+        return PassResult(h, False, revealed, labels=labels)
     pos = revealed - 1
-    x = oracle.points[ordered[pos]]
+    labels[pos, 1] = -labels[pos, 1]
+    h_next = update_or_flip(h, points[order[pos]])
     record = None
     if ground_truth is not None:
-        from .geometry import angle, tan_theta  # local import to avoid cycle at module load
-
-        theta = angle(h.w, ground_truth)
-        sin_t = math.sin(theta)
-        r = abs(float(margins[order][pos])) / (h.norm * sin_t) if sin_t > 0 else 0.0
-        h_next = mp_update(h, x)
+        sin_t = math.sin(angle(h.w, ground_truth))
+        margin = abs(float(margins[pos]))
         record = UpdateRecord(
             point_index=int(ordered[pos]),
-            margin=abs(float(margins[order][pos])),
-            r=min(1.0, r),
+            margin=margin,
+            r=min(1.0, margin / (h.norm * sin_t)) if sin_t > 0 else 0.0,
             tan_before=tan_theta(h.w, ground_truth),
             tan_after=tan_theta(h_next.w, ground_truth),
         )
-    else:
-        h_next = mp_update(h, x)
-    return PassResult(h_next, True, revealed, int(ordered[pos]), record)
+    return PassResult(h_next, True, revealed, int(ordered[pos]), record, labels)

@@ -21,8 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .datasets import LabeledDataset, split_buckets
-from .errors import DegenerateHypothesisError
-from .geometry import RngStream, sample_sphere
+from .geometry import RngStream, predict_signs, sample_sphere
 from .perceptron import Hypothesis, UpdateRecord, margin_perceptron_pass
 from .transcript import LabelOracle, Transcript
 
@@ -101,8 +100,9 @@ def initialize_hypothesis(
     unpredicted prefix points (margin_perceptron_pass): each pass predicts
     in decreasing |w.x| order until the first mistake, applies the
     projection update, and the next pass re-sorts under the new direction.
-    A mistake point parallel to w (certain at d=1) flips w instead. Stops
-    once the mistake budget ceil(c_init * d * ln(1/delta)) is spent or the
+    A mistake point parallel to w (certain at d=1) flips w instead
+    (update_or_flip). Stops once the mistake budget
+    ceil(c_init * d * ln(1/delta)) is spent or the
     prefix is exhausted; any unpredicted prefix points are left for the
     final labeling phase. Returns the direction as a unit vector, or the
     starting vector unchanged when no update happened.
@@ -113,14 +113,10 @@ def initialize_hypothesis(
     rest = np.asarray(prefix, dtype=np.int64)
     mistakes = 0
     while rest.size and mistakes < budget:
-        try:
-            result = margin_perceptron_pass(oracle, rest, h, PHASE_INIT)
-        except DegenerateHypothesisError:
-            h = Hypothesis(-h.w)
-        else:
-            if not result.updated:
-                break
-            h = result.hypothesis
+        result = margin_perceptron_pass(oracle, rest, h, PHASE_INIT)
+        if not result.updated:
+            break
+        h = result.hypothesis
         mistakes += 1
         rest = rest[~oracle.predicted_mask()[rest]]
     if mistakes == 0:
@@ -144,13 +140,7 @@ def _fallback_run(oracle: LabelOracle, rng: RngStream) -> Hypothesis:
     """Single arm over the whole set, re-sorting by margin after every update."""
     h = Hypothesis(sample_sphere(oracle.d, rng.child(0)))
     while not oracle.all_predicted():
-        try:
-            result = margin_perceptron_pass(oracle, oracle.unpredicted_indices(), h, PHASE_TRAIN_W)
-            h = result.hypothesis
-        except DegenerateHypothesisError:
-            # Mistake point parallel to w (certain at d=1): the projection
-            # would zero w, but flipping it is the correct norm-preserving move.
-            h = Hypothesis(-h.w)
+        h = margin_perceptron_pass(oracle, oracle.unpredicted_indices(), h, PHASE_TRAIN_W).hypothesis
     return h
 
 
@@ -202,21 +192,12 @@ def run_sphere(
     # on, so no point is ever predicted by a hypothesis its label touched.
     w_side = rest[np.concatenate([buckets[t] for t in range(schedule.k)])]
     v_side = rest[np.concatenate([buckets[schedule.k + t] for t in range(schedule.k)])]
+    # Prefix points the initializer never reached (its budget ran out) go to w.
     mask = oracle.predicted_mask()
-
-    todo_v = v_side[~mask[v_side]]
-    margins = oracle.points[todo_v] @ h_w.w
-    oracle.predict_bulk(todo_v, np.where(margins >= 0.0, 1, -1), margins, PHASE_CROSS)
-
-    todo_w = w_side[~mask[w_side]]
-    margins = oracle.points[todo_w] @ h_v.w
-    oracle.predict_bulk(todo_w, np.where(margins >= 0.0, 1, -1), margins, PHASE_CROSS)
-
-    # Prefix points the initializer never reached (its budget ran out).
-    leftover = prefix[~oracle.predicted_mask()[prefix]]
-    if leftover.size:
-        margins = oracle.points[leftover] @ h_w.w
-        oracle.predict_bulk(leftover, np.where(margins >= 0.0, 1, -1), margins, PHASE_CROSS)
+    for todo, h in ((v_side, h_w), (w_side, h_v), (prefix, h_w)):
+        todo = todo[~mask[todo]]
+        margins = oracle.points[todo] @ h.w
+        oracle.predict_bulk(todo, predict_signs(margins), margins, PHASE_CROSS)
 
     assert oracle.all_predicted()
     return SphereRunResult(oracle.transcript, schedule, h_w, h_v)

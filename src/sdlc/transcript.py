@@ -2,8 +2,13 @@
 
 Every learner in this package goes through LabelOracle: a label can only
 be read by first committing a prediction for that index, and each index
-can be predicted at most once. The transcript records predictions in
-columnar chunks so million-point runs stay cheap.
+can be predicted at most once. The three public entry points (`predict`,
+`predict_bulk`, `predict_until_mistake`) are thin calls into one private
+commit routine, which checks every commit the same way before it reveals
+anything: 1-D arrays of equal length, predictions in {-1, +1}, indices in
+[0, n), no index twice (an O(m) stamp check) and no index predicted
+before. A rejected commit changes nothing. The transcript records
+predictions in columnar chunks so million-point runs stay cheap.
 """
 
 from __future__ import annotations
@@ -103,6 +108,7 @@ class LabelOracle:
         self._ds = ds
         self._labels = ds.labels
         self._predicted = np.zeros(ds.n, dtype=bool)
+        self._stamp = np.empty(ds.n, dtype=np.int64)
         self.transcript = transcript if transcript is not None else Transcript()
 
     @property
@@ -136,14 +142,8 @@ class LabelOracle:
 
     def predict(self, index: int, prediction: int, margin: float = 0.0, phase: str = "") -> int:
         """Commit a prediction for one index; returns the revealed truth."""
-        if prediction not in (-1, 1):
-            raise ValueError(f"prediction must be -1 or +1, got {prediction}")
-        if self._predicted[index]:
-            raise ProtocolError(f"index {index} was already predicted")
-        self._predicted[index] = True
-        truth = int(self._labels[index])
-        self.transcript.append_chunk([index], [prediction], [truth], [margin], phase)
-        return truth
+        truths, _ = self._commit([index], [prediction], [margin], phase, until_mistake=False)
+        return int(truths[0])
 
     def predict_bulk(self, indices, predictions, margins, phase: str) -> np.ndarray:
         """Commit many predictions at once; returns the revealed truths.
@@ -151,21 +151,7 @@ class LabelOracle:
         Equivalent to calling predict() in a loop - the predictions are
         fixed before any label is revealed, so no information leaks.
         """
-        idx = np.asarray(indices, dtype=np.int64)
-        preds = np.asarray(predictions, dtype=np.int64)
-        if idx.size != preds.size:
-            raise ValueError("indices and predictions must have equal length")
-        if idx.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if np.unique(idx).size != idx.size:
-            raise ProtocolError("duplicate index in bulk prediction")
-        if self._predicted[idx].any():
-            raise ProtocolError("bulk prediction touches an already-predicted index")
-        if not np.all(np.isin(preds, (-1, 1))):
-            raise ValueError("predictions must be -1 or +1")
-        self._predicted[idx] = True
-        truths = self._labels[idx]
-        self.transcript.append_chunk(idx, preds, truths, margins, phase)
+        truths, _ = self._commit(indices, predictions, margins, phase, until_mistake=False)
         return truths
 
     def predict_until_mistake(self, indices, predictions, margins, phase: str) -> tuple[int, bool]:
@@ -174,23 +160,45 @@ class LabelOracle:
         The prediction sequence is committed up front; truths are revealed
         one position at a time, so only labels up to and including the
         first mistake become known. Returns (number revealed, mistake hit).
-        Vectorized internally; observationally identical to a predict()
-        loop that breaks on the first wrong answer.
+        Observationally identical to a predict() loop that breaks on the
+        first wrong answer.
+        """
+        truths, hit = self._commit(indices, predictions, margins, phase, until_mistake=True)
+        return truths.size, hit
+
+    def _commit(self, indices, predictions, margins, phase: str, until_mistake: bool) -> tuple[np.ndarray, bool]:
+        """The one commit path: check everything, then reveal and log.
+
+        Returns the revealed truths and whether the reveal stopped at a
+        mistake. A rejected call changes neither the predicted mask nor
+        the transcript.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        preds = np.asarray(predictions, dtype=np.int64)
-        if idx.size == 0:
-            return 0, False
-        if np.unique(idx).size != idx.size:
-            raise ProtocolError("duplicate index in ordered prediction")
+        raw = np.asarray(predictions)
+        margins = np.asarray(margins, dtype=np.float64)
+        if idx.ndim != 1 or raw.shape != idx.shape or margins.shape != idx.shape:
+            raise ValueError("indices, predictions and margins must be 1-D arrays of equal length")
+        if not np.all((raw == 1) | (raw == -1)):
+            raise ValueError("predictions must be -1 or +1")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise ProtocolError(f"index out of range [0, {self.n})")
+        # Duplicate check in O(m): positions naming the same index read
+        # back one stamp, so at least one of them differs from its own.
+        positions = np.arange(idx.size)
+        self._stamp[idx] = positions
+        if not np.array_equal(self._stamp[idx], positions):
+            raise ProtocolError("an index appears twice in one commit")
         if self._predicted[idx].any():
-            raise ProtocolError("ordered prediction touches an already-predicted index")
+            raise ProtocolError("commit touches an already-predicted index")
+        preds = raw.astype(np.int64)
         truths = self._labels[idx]
-        wrong = np.flatnonzero(preds != truths)
-        if wrong.size == 0:
-            stop, hit = idx.size, False
-        else:
-            stop, hit = int(wrong[0]) + 1, True
-        self._predicted[idx[:stop]] = True
-        self.transcript.append_chunk(idx[:stop], preds[:stop], truths[:stop], np.asarray(margins)[:stop], phase)
-        return stop, hit
+        hit = False
+        if until_mistake:
+            wrong = np.flatnonzero(preds != truths)
+            if wrong.size:
+                hit = True
+                stop = int(wrong[0]) + 1
+                idx, preds, truths, margins = idx[:stop], preds[:stop], truths[:stop], margins[:stop]
+        self._predicted[idx] = True
+        self.transcript.append_chunk(idx, preds, truths, margins, phase)
+        return truths, hit

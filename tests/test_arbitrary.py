@@ -16,9 +16,11 @@ from sdlc.datasets import (
     LabeledDataset,
     gen_arbitrary,
     gen_uniform_sphere,
+    predict_labels,
 )
 from sdlc.forster import forster_transform
-from sdlc.geometry import RngStream, sample_sphere
+from sdlc.geometry import RngStream, predict_sign, sample_sphere
+from sdlc.perceptron import Hypothesis, update_or_flip
 from sdlc.transcript import LabelOracle
 
 
@@ -110,6 +112,57 @@ def test_weak_run_skips_already_predicted():
     done = {idx for idx, _ in first.labels}
     second = weak_run(oracle, RngStream(9, 1).child(1))
     assert done.isdisjoint(idx for idx, _ in second.labels)
+
+
+def _weak_run_reference(ds, rng, phase="weak"):
+    """weak_run one point at a time: largest |margin| in the working frame
+    first, ties by position, one oracle call per point."""
+    oracle = LabelOracle(ds)
+    indices = np.arange(ds.n)
+    out = forster_transform(ds.points, 1.0 / (2.0 * ds.d))
+    U, k, orig = out.transformed_points, out.subspace_dim, indices[out.retained_indices]
+    h = Hypothesis(sample_sphere(k, rng.child(0)))
+    target = U.shape[0] / (4.0 * k)
+    remaining = list(range(U.shape[0]))
+    labels, mistakes, terminated_by = [], 0, "budget"
+    for _ in range(weak_sweep_budget(k)):
+        if not remaining:
+            break
+        while remaining:
+            pos = max(remaining, key=lambda p: (abs(h.margin(U[p])), -p))
+            remaining.remove(pos)
+            margin = h.margin(U[pos])
+            pred = predict_sign(margin)
+            truth = oracle.predict(int(orig[pos]), pred, margin, phase)
+            labels.append((int(orig[pos]), truth))
+            if truth != pred:
+                mistakes += 1
+                h = update_or_flip(h, U[pos])
+                break
+        if len(labels) >= target:
+            terminated_by = "coverage"
+            break
+    return oracle.transcript, labels, mistakes, terminated_by
+
+
+@pytest.mark.parametrize("data", ["uniform", "cross_polytope"])
+def test_weak_run_matches_per_point_reference(data):
+    if data == "uniform":
+        ds = gen_uniform_sphere(200, 3, RngStream(31, 0))
+    else:
+        # +-e_i repeated: a fixed point of the transform, with exact |margin| ties
+        w_star = sample_sphere(4, RngStream(31, 1))
+        pts = np.tile(np.vstack([np.eye(4), -np.eye(4)]), (25, 1))
+        ds = LabeledDataset(pts, predict_labels(pts, w_star), w_star)
+    transcript, labels, mistakes, terminated_by = _weak_run_reference(ds, RngStream(31, 2))
+    oracle = LabelOracle(ds)
+    fast = weak_run(oracle, RngStream(31, 2))
+    got = [(r.index, r.prediction, r.truth, r.phase) for r in oracle.transcript.records()]
+    want = [(r.index, r.prediction, r.truth, r.phase) for r in transcript.records()]
+    assert got == want
+    assert fast.labels.tolist() == [list(row) for row in labels]
+    assert (fast.mistakes, fast.terminated_by) == (mistakes, terminated_by)
+    assert mistakes > 0
 
 
 # ---------------------------------------------------------------- strong runs

@@ -152,6 +152,42 @@ def test_grid_runaway_size_rejected():
         gen_arbitrary("grid", 7000, 2, {}, RngStream(0))
 
 
+def _grid_by_full_cube(n, d):
+    """The grid enumeration as it was first written: build each whole cube."""
+    points = []
+    radius = 1
+    while len(points) < n:
+        rng_1d = np.arange(-radius, radius + 1)
+        mesh = np.meshgrid(*([rng_1d] * d), indexing="ij")
+        lattice = np.stack([m.ravel() for m in mesh], axis=1)
+        shell = lattice[np.max(np.abs(lattice), axis=1) == radius]
+        for row in shell:
+            points.append(row / np.linalg.norm(row))
+            if len(points) == n:
+                break
+        radius += 1
+    return np.asarray(points)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (60, 1), (8, 2), (200, 2), (150, 3), (500, 4), (100, 5), (1000, 6)])
+def test_grid_matches_full_cube_enumeration(n, d):
+    pts = gen_arbitrary("grid", n, d, {}, RngStream(0)).points
+    assert np.array_equal(pts, _grid_by_full_cube(n, d))
+
+
+def test_grid_builds_only_the_points_it_keeps():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        ds = gen_arbitrary("grid", 10, 12, {}, RngStream(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 10
+    assert peak < 5 * 2**20
+
+
 # -------------------------------------------------------------------- buckets
 
 def test_split_buckets_examples():
@@ -215,15 +251,24 @@ def test_jsonl_header_missing_truth_key(tmp_path):
 
 
 def test_jsonl_malformed_label(tmp_path):
+    # each bad record sits on line 3, after a good one
+    bad_records = [
+        '{"x": [0.0, 1.0], "y": 0}',
+        '{"x": ["0.6", "0.8"], "y": 1}',   # string coordinates
+        '{"x": [0.6, 0.8], "y": true}',    # boolean label
+        '{"x": [0.6, 0.8], "y": -1.0}',    # float label
+        '{"x": [3.0, 4.0], "y": -1}',      # norm 5
+    ]
     path = tmp_path / "bad.jsonl"
-    path.write_text(
-        '{"d": 2, "n": 2, "ground_truth": null}\n'
-        '{"x": [1.0, 0.0], "y": 1}\n'
-        '{"x": [0.0, 1.0], "y": 0}\n'
-    )
-    with pytest.raises(MalformedRecordError) as err:
-        load_jsonl(str(path))
-    assert err.value.line_number == 3
+    for record in bad_records:
+        path.write_text(
+            '{"d": 2, "n": 2, "ground_truth": null}\n'
+            '{"x": [1.0, 0.0], "y": 1}\n'
+            + record + "\n"
+        )
+        with pytest.raises(MalformedRecordError) as err:
+            load_jsonl(str(path))
+        assert err.value.line_number == 3, record
 
 
 def test_jsonl_truncated_file(tmp_path):

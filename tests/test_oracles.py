@@ -9,7 +9,6 @@ from sdlc.datasets import LabeledDataset, predict_labels
 from sdlc.errors import InfeasibleParametersError, RegimeError
 from sdlc.geometry import RngStream, sample_sphere, sample_sphere_batch
 from sdlc.oracles import (
-    OnlineMarginPerceptron,
     TailCheckResult,
     greedy_adversarial_order,
     mc_best_mistake_margin,
@@ -20,7 +19,7 @@ from sdlc.oracles import (
     superlinear_rounds,
     superlinear_step,
 )
-from sdlc.perceptron import Hypothesis
+from sdlc.perceptron import Hypothesis, update_or_flip
 from sdlc.transcript import LabelOracle
 
 
@@ -171,12 +170,6 @@ def test_superlinear_start_below_target():
 
 # ------------------------------------------------------------------ baselines
 
-def test_online_perceptron_d1_flip():
-    p = OnlineMarginPerceptron(Hypothesis(np.array([1.0])))
-    p.update(np.array([1.0]))
-    assert p.hypothesis.w.tolist() == [-1.0]
-
-
 def test_random_order_consistent_start_never_errs():
     rng = RngStream(7, 2)
     pts = sample_sphere_batch(500, 4, RngStream(7, 0))
@@ -206,15 +199,15 @@ def test_random_order_matches_unblocked_reference():
     # reference: same order and start, one oracle call per point
     ref_rng = RngStream(5, 2)
     order = ref_rng.child(0).gen.permutation(ds.n)
-    learner = OnlineMarginPerceptron(Hypothesis(sample_sphere(ds.d, ref_rng.child(1))))
+    h = Hypothesis(sample_sphere(ds.d, ref_rng.child(1)))
     oracle = LabelOracle(ds)
     for idx in order:
         x = ds.points[idx]
-        margin = learner.hypothesis.margin(x)
+        margin = h.margin(x)
         pred = 1 if margin >= 0.0 else -1
         truth = oracle.predict(int(idx), pred, margin, "random-order")
         if truth != pred:
-            learner.update(x)
+            h = update_or_flip(h, x)
 
     got = [(r.index, r.prediction, r.truth) for r in fast.records()]
     want = [(r.index, r.prediction, r.truth) for r in oracle.transcript.records()]
@@ -243,9 +236,42 @@ def test_greedy_single_point():
 def test_greedy_accepts_prebuilt_learner():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     ds = LabeledDataset(pts, predict_labels(pts, np.array([1.0, 1.0])))
-    learner = OnlineMarginPerceptron(Hypothesis(np.array([1.0, 1.0])))
-    transcript = greedy_adversarial_order(ds, learner=learner)
+    transcript = greedy_adversarial_order(ds, Hypothesis(np.array([1.0, 1.0])))
     assert transcript.mistakes == 0
+
+
+def _cross_polytope(d, copies, w_star):
+    """Each of +-e_i repeated `copies` times: |w . x| ties are exact."""
+    pts = np.tile(np.vstack([np.eye(d), -np.eye(d)]), (copies, 1))
+    return LabeledDataset(pts, predict_labels(pts, w_star), w_star)
+
+
+@pytest.mark.parametrize("data", ["uniform", "cross_polytope"])
+def test_greedy_matches_per_point_reference(data):
+    from sdlc.datasets import gen_uniform_sphere
+
+    if data == "uniform":
+        ds = gen_uniform_sphere(300, 3, RngStream(8, 0))
+    else:
+        ds = _cross_polytope(5, 30, sample_sphere(5, RngStream(8, 1)))
+    fast = greedy_adversarial_order(ds, rng=RngStream(8, 2))
+
+    # reference: one oracle call per point, smallest |margin| first, ties by index
+    h = Hypothesis(sample_sphere(ds.d, RngStream(8, 2).child(1)))
+    oracle = LabelOracle(ds)
+    remaining = list(range(ds.n))
+    while remaining:
+        idx = min(remaining, key=lambda j: (abs(h.margin(ds.points[j])), j))
+        remaining.remove(idx)
+        margin = h.margin(ds.points[idx])
+        pred = 1 if margin >= 0.0 else -1
+        if oracle.predict(idx, pred, margin, "greedy-order") != pred:
+            h = update_or_flip(h, ds.points[idx])
+
+    got = [(r.index, r.prediction, r.truth) for r in fast.records()]
+    want = [(r.index, r.prediction, r.truth) for r in oracle.transcript.records()]
+    assert fast.mistakes > 0
+    assert got == want
 
 
 def test_greedy_order_is_harder_than_random():

@@ -15,6 +15,7 @@ from sdlc.perceptron import (
     margin_mistake_bound,
     margin_perceptron_pass,
     mp_update,
+    update_or_flip,
 )
 from sdlc.transcript import LabelOracle
 
@@ -61,6 +62,16 @@ def test_mp_update_annihilation():
     h = Hypothesis(np.array([0.0, 2.0]))
     with pytest.raises(DegenerateHypothesisError):
         mp_update(h, np.array([0.0, 1.0]))
+
+
+def test_update_or_flip():
+    # d=1: every point is parallel to w, so w flips
+    assert update_or_flip(Hypothesis(np.array([1.0])), np.array([1.0])).w.tolist() == [-1.0]
+    # a parallel point in d=2 would zero w under the projection
+    assert update_or_flip(Hypothesis(np.array([0.0, 2.0])), np.array([0.0, 1.0])).w.tolist() == [0.0, -2.0]
+    # otherwise it is the projection update
+    h, x = Hypothesis(np.array([1.0, 0.0])), np.array([R2, R2])
+    assert np.array_equal(update_or_flip(h, x).w, mp_update(h, x).w)
 
 
 def test_mp_update_removes_component():
@@ -219,8 +230,23 @@ def test_pass_update_record_fields():
     assert rec.margin == pytest.approx(abs(float(h.w @ pts[0])))
 
 
-def test_pass_propagates_annihilation():
-    # d=1: any mistake point is parallel to w, so the projection wipes it out
+def test_pass_flips_on_annihilation():
+    # d=1: any mistake point is parallel to w, so the pass flips w
     oracle = _oracle_for(np.array([[1.0]]), np.array([-1.0]))
-    with pytest.raises(DegenerateHypothesisError):
-        margin_perceptron_pass(oracle, np.arange(1), Hypothesis(np.array([1.0])))
+    res = margin_perceptron_pass(oracle, np.arange(1), Hypothesis(np.array([1.0])))
+    assert res.updated and res.mistake_index == 0
+    assert res.hypothesis.w.tolist() == [-1.0]
+
+
+def test_pass_scores_given_points_and_reports_labels():
+    # the rows in `points` are scored and updated on in place of the
+    # oracle's own points; labels list what was revealed, in order
+    w_truth = np.array([0.0, 1.0])
+    oracle = _oracle_for(np.array([[R2, R2], [R2, -R2], [-R2, R2]]), w_truth)
+    frame = np.array([[0.2, 0.0], [0.9, 0.0], [-0.5, 0.0]])  # margins under h: 0.2, 0.9, -0.5
+    h = Hypothesis(np.array([1.0, 0.0]))
+    res = margin_perceptron_pass(oracle, np.array([0, 1, 2]), h, points=frame)
+    # order by |margin|: index 1 (0.9, predicted +1, truth -1) is the first mistake
+    assert res.predictions == 1 and res.mistake_index == 1
+    assert res.labels.tolist() == [[1, -1]]
+    assert np.array_equal(res.hypothesis.w, update_or_flip(h, frame[1]).w)

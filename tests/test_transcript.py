@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sdlc.datasets import LabeledDataset
 from sdlc.errors import ProtocolError
@@ -11,6 +13,11 @@ from sdlc.transcript import LabelOracle, Transcript
 def small_oracle():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     return LabelOracle(LabeledDataset(pts, [1, 1, -1, -1], np.array([1.0, 1.0])))
+
+
+def _state(oracle):
+    records = [(r.index, r.prediction, r.truth, r.margin, r.phase) for r in oracle.transcript.records()]
+    return oracle.predicted_mask().tolist(), records
 
 
 def test_predict_reveals_truth_and_logs():
@@ -29,6 +36,10 @@ def test_predict_rejects_repeats_and_bad_values():
         oracle.predict(1, 1)
     with pytest.raises(ValueError):
         oracle.predict(2, 0)
+    for out_of_range in (4, -1):
+        with pytest.raises(ProtocolError):
+            oracle.predict(out_of_range, 1)
+    assert oracle.unpredicted_indices().tolist() == [0, 2, 3]
 
 
 def test_bulk_prediction_protocol():
@@ -39,12 +50,15 @@ def test_bulk_prediction_protocol():
         oracle.predict_bulk([1, 1], [1, 1], [0.0, 0.0], "bulk")
     with pytest.raises(ProtocolError):
         oracle.predict_bulk([0, 3], [1, 1], [0.0, 0.0], "bulk")
+    with pytest.raises(ProtocolError):  # -1 and 3 name the same point
+        oracle.predict_bulk([-1, 3], [1, 1], [0.0, 0.0], "bulk")
     with pytest.raises(ValueError):
         oracle.predict_bulk([1, 3], [1, 2], [0.0, 0.0], "bulk")
     with pytest.raises(ValueError):
         oracle.predict_bulk([1, 3], [1], [0.0], "bulk")
     # nothing above may have leaked a label
     assert oracle.unpredicted_indices().tolist() == [1, 3]
+    assert len(oracle.transcript) == 2
 
 
 def test_until_mistake_reveals_prefix_only():
@@ -65,6 +79,53 @@ def test_until_mistake_rejects_duplicates():
     oracle.predict(0, 1)
     with pytest.raises(ProtocolError):
         oracle.predict_until_mistake([0, 1], [1, 1], [0.0, 0.0], "scan")
+    with pytest.raises(ProtocolError):
+        oracle.predict_until_mistake([1, 4], [1, 1], [0.0, 0.0], "scan")
+    with pytest.raises(ValueError):
+        oracle.predict_until_mistake([1, 2], [1, 7], [0.0, 0.0], "scan")
+    assert _state(oracle) == ([True, False, False, False], [(0, 1, 1, 0.0, "")])
+
+
+N_PROP = 5
+
+
+@given(
+    entry=st.sampled_from(["predict", "predict_bulk", "predict_until_mistake"]),
+    done=st.sets(st.integers(0, N_PROP - 1), max_size=N_PROP),
+    calls=st.lists(st.tuples(st.integers(-N_PROP, 2 * N_PROP - 1), st.integers(-2, 2)),
+                   min_size=1, max_size=8),
+)
+def test_commit_paths_reject_cleanly_or_commit_each_point_once(entry, done, calls):
+    pts = np.eye(N_PROP)
+    oracle = LabelOracle(LabeledDataset(pts, [1, -1, 1, -1, 1]))
+    if done:
+        oracle.predict_bulk(sorted(done), [1] * len(done), [0.0] * len(done), "pre")
+    if entry == "predict":
+        calls = calls[:1]
+    idx = [i for i, _ in calls]
+    preds = [p for _, p in calls]
+    margins = [0.5] * len(calls)
+    mask_before, records_before = _state(oracle)
+    try:
+        if entry == "predict":
+            oracle.predict(idx[0], preds[0], margins[0], "p")
+        else:
+            getattr(oracle, entry)(idx, preds, margins, "p")
+    except (ProtocolError, ValueError):
+        assert _state(oracle) == (mask_before, records_before)
+        return
+    mask_after, records_after = _state(oracle)
+    new = records_after[len(records_before):]
+    assert records_after[:len(records_before)] == records_before
+    committed = [r[0] for r in new]
+    # a prefix of the named points, each a real point, each once, each +-1
+    assert committed == idx[:len(committed)] and len(committed) >= 1
+    if entry != "predict_until_mistake":
+        assert len(committed) == len(idx)
+    assert len(set(committed)) == len(committed)
+    assert all(0 <= i < N_PROP and not mask_before[i] for i in committed)
+    assert all(r[1] in (-1, 1) for r in new)
+    assert [i for i in range(N_PROP) if mask_after[i] != mask_before[i]] == sorted(committed)
 
 
 def test_transcript_bookkeeping():

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import LabeledDataset
+from .errors import NoConvergenceError
 from .forster import ForsterOutput, forster_transform, pullback_separator
 from .geometry import RngStream, sample_sphere
 from .perceptron import Hypothesis, margin_perceptron_pass
@@ -189,7 +190,11 @@ def strong_run(
     coverage; budget-terminated attempts are aborted but their revealed
     predictions stay counted and their points stay removed. Exhausting
     the retries of a round (or the outer rounds) before reaching
-    (1 - eps) coverage yields a partial result, not an exception.
+    (1 - eps) coverage yields a partial result, not an exception. So does
+    a weak run whose transform finds no isotropy certificate: it counts as
+    an attempt and ends the boosting. It committed nothing (the transform
+    runs first), and a retry would fail alike, since the transform draws
+    no randomness and the remaining points are the same.
     """
     oracle = LabelOracle(ds)
     n = oracle.n
@@ -207,8 +212,12 @@ def strong_run(
             if oracle.unpredicted_indices().size <= eps * n:
                 advanced = True
                 break
-            result = weak_run(oracle, rng.child(attempts), phase=f"weak-round-{rnd}")
+            attempt_rng = rng.child(attempts)
             attempts += 1
+            try:
+                result = weak_run(oracle, attempt_rng, phase=f"weak-round-{rnd}")
+            except NoConvergenceError:
+                break
             if result.terminated_by == "coverage":
                 advanced = True
                 break

@@ -7,7 +7,8 @@ direction carries variance at least 1/d - delta. When no such A exists
 the concentrated mass apart from the rest; we then extract the dense
 subspace, restrict to the points inside it, and recurse in lower
 dimension. The output always certifies isotropy in the dimension of the
-subspace it retained.
+subspace it retained. The d x d eigendecompositions go to LAPACK
+(`np.linalg.eigh`).
 """
 
 from __future__ import annotations
@@ -22,62 +23,20 @@ from .errors import NoConvergenceError
 RESIDUAL_TOL = 1e-9       # membership tolerance for subspace extraction
 CANDIDATE_TOL = 1e-4      # looser nomination tolerance in whitened coordinates
 RANK_FLOOR = 1e-12        # eigenvalues below this are treated as exact zeros
-JACOBI_TOL = 1e-12        # off-diagonal Frobenius mass target
 STALL_WINDOW = 10
 COLLAPSE_WINDOW = 10
 
 
-def jacobi_eigh(M: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60):
-    """Symmetric eigendecomposition by cyclic Jacobi rotations.
+def jacobi_eigh(M: np.ndarray):
+    """Eigendecomposition of a symmetric Gram matrix by LAPACK (`np.linalg.eigh`).
 
-    Returns (eigenvalues ascending, eigenvectors as columns). Dimension
-    is small everywhere this is used, so the O(d^3) sweeps are cheap, and
-    the rotations keep the eigenvector basis orthonormal to machine
-    precision.
+    Returns (eigenvalues ascending, orthonormal eigenvectors as columns):
+    eigvals[0] is lambda_min and eigvecs[:, d-k:] spans the top-k space.
+    Named for the cyclic-Jacobi solver it replaced: the benchmark's tracer
+    (bench/spans.py) looks it up by this name, so renaming it needs a
+    change to the benchmark.
     """
-    M = np.asarray(M, dtype=np.float64)
-    d = M.shape[0]
-    if M.shape != (d, d):
-        raise ValueError("matrix must be square")
-    if not np.allclose(M, M.T, atol=1e-10, rtol=1e-10):
-        raise ValueError("matrix must be symmetric")
-    A = M.astype(np.float64).copy()
-    V = np.eye(d)
-    if d == 1:
-        return np.array([A[0, 0]]), V
-    scale = max(1.0, float(np.linalg.norm(A)))
-    for _ in range(max_sweeps):
-        # Off-diagonal mass summed directly; the Frobenius-minus-diagonal
-        # shortcut cancels catastrophically near convergence.
-        off = math.sqrt(float(np.sum((A - np.diag(np.diag(A))) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 0.5 / tau  # asymptotic root; tau*tau would overflow
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        raise NoConvergenceError("Jacobi sweeps did not reduce off-diagonal mass")
-    eigvals = np.diag(A).copy()
-    order = np.argsort(eigvals)
-    return eigvals[order], V[:, order]
+    return np.linalg.eigh(M)
 
 
 @dataclass

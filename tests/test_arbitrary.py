@@ -18,6 +18,7 @@ from sdlc.datasets import (
     gen_uniform_sphere,
     predict_labels,
 )
+from sdlc.errors import NoConvergenceError
 from sdlc.forster import forster_transform
 from sdlc.geometry import RngStream, predict_sign, sample_sphere
 from sdlc.perceptron import Hypothesis, update_or_flip
@@ -210,3 +211,20 @@ def test_strong_run_respects_attempt_accounting():
         res = strong_run(ds, 0.1, 0.1, RngStream(5, 1))
         assert not res.partial, family
         assert res.attempts >= res.rounds_used - 1
+
+
+def test_strong_run_returns_partial_when_the_transform_finds_no_certificate():
+    ds = gen_arbitrary("subspace_degenerate", 300, 12, {}, RngStream(13, 0))
+    res = strong_run(ds, 0.1, 0.1, RngStream(13, 1))
+    assert res.partial
+    assert res.coverage < 1.0 - 0.1
+    assert res.attempts <= res.budget.runs_outer * res.budget.retries_per_round
+    wrong = sum(r.prediction != r.truth for r in res.transcript.records())
+    assert res.mistakes == wrong
+    seen = res.transcript.predicted_indices()
+    assert np.unique(seen).size == seen.size == res.labeled_count
+    # The boosting stopped because the next weak run's transform fails on
+    # what is left, not because a budget ran out.
+    remaining = np.setdiff1d(np.arange(ds.n), seen)
+    with pytest.raises(NoConvergenceError):
+        forster_transform(ds.points[remaining], 1.0 / (2.0 * ds.d))

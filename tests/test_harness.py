@@ -207,6 +207,18 @@ def test_cli_run_arbitrary(tmp_path, capsys):
     assert payload["mode"] == "arbitrary"
 
 
+def test_cli_run_arbitrary_partial_exits_2(tmp_path, capsys):
+    out = tmp_path / "arb.json"
+    code = main(["run-arbitrary", "--family", "subspace_degenerate", "--n", "300",
+                 "--d", "12", "--seed", "13", "--eps", "0.1", "--delta", "0.1",
+                 "--out", str(out)])
+    assert code == 2
+    assert "partial=True" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["partial"] is True
+    assert payload["coverage"] < 0.9
+
+
 def test_cli_baseline_orders(capsys):
     assert main(["baseline", "--n", "200", "--d", "3", "--order", "greedy"]) == 0
     assert "order=greedy" in capsys.readouterr().out

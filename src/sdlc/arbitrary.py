@@ -105,7 +105,7 @@ def weak_run(
         mistakes += int(result.updated)
         labels.append(result.labels)
         covered += result.predictions
-        remaining = remaining[~oracle.predicted_mask()[orig[remaining]]]
+        remaining = np.delete(remaining, result.committed)
         if covered >= target:
             terminated_by = "coverage"
             break

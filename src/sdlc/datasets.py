@@ -14,13 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedRecordError
+from .errors import InfeasibleParametersError, MalformedRecordError
 from .geometry import (
     UNIT_TOL, RngStream, as_vector, predict_sign, predict_signs, sample_sphere, sample_sphere_batch,
 )
 
 ARBITRARY_FAMILIES = ("clustered", "low_margin", "subspace_degenerate", "grid")
 _NUMBER_TYPES = frozenset((int, float))
+# Rejection draws allowed per clustered point. A point whose acceptance
+# rate is below about 1e-4 exhausts them and the parameters are rejected
+# as infeasible, instead of looping forever.
+_CLUSTER_MAX_DRAWS = 100_000
 
 
 @dataclass
@@ -114,7 +118,7 @@ def _gen_clustered(n: int, d: int, params: dict, rng: RngStream) -> LabeledDatas
     points = np.empty((n, d))
     for i in range(n):
         c = centers[i % num_clusters]
-        while True:
+        for _ in range(_CLUSTER_MAX_DRAWS):
             p = c + spread * prng.gen.normal(size=d)
             norm = np.linalg.norm(p)
             if norm < 1e-12:
@@ -122,6 +126,10 @@ def _gen_clustered(n: int, d: int, params: dict, rng: RngStream) -> LabeledDatas
             p /= norm
             if abs(float(p @ w_star)) >= floor:
                 break
+        else:
+            raise InfeasibleParametersError(
+                f"no draw around cluster {i % num_clusters} reached margin_floor {floor} "
+                f"in {_CLUSTER_MAX_DRAWS} tries; lower margin_floor or raise spread")
         points[i] = p
     return LabeledDataset(points, predict_labels(points, w_star), w_star)
 

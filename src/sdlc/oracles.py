@@ -9,7 +9,9 @@ always allow three standard errors of Monte-Carlo slack.
 The baselines are the order policies the self-directed learner is
 measured against: a uniformly random prediction order and a greedy
 adversarial order that always serves the point the current hypothesis
-is least sure about.
+is least sure about. Both predict through the ordered kernel of
+`perceptron` (key: position in the permutation, or |w . x|) and update
+with `update_or_flip`; neither keeps an ordering loop of its own.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .errors import InfeasibleParametersError, RegimeError
-from .geometry import RngStream, predict_signs, sample_sphere
-from .perceptron import Hypothesis, update_or_flip
+from .geometry import RngStream, sample_sphere
+from .perceptron import Hypothesis, _commit_ordered, update_or_flip
 from .transcript import LabelOracle, Transcript
 
 
@@ -261,22 +263,24 @@ def simulate_superlinear(
 
 
 def random_order_run(ds: LabeledDataset, rng: RngStream) -> Transcript:
-    """Predict all points in a uniformly random order, updating on mistakes."""
+    """Predict all points in a uniformly random order, updating on mistakes.
+
+    Each stretch between mistakes streams through the permutation with the
+    ordered kernel, scoring one window at a time under the fixed
+    hypothesis; the first window is the previous stretch's length.
+    """
     oracle = LabelOracle(ds)
     order = rng.child(0).gen.permutation(ds.n)
     h = Hypothesis(sample_sphere(ds.d, rng.child(1)))
-    # Scanning in blocks keeps the per-mistake cost at O(block) instead of
-    # O(n) without changing a single prediction: the hypothesis is fixed
-    # between mistakes, so a prefix scan sees the same margins either way.
-    block = 1 << 16
-    pos = 0
+    pos = revealed = 0
     while pos < order.size:
-        rest = order[pos:pos + block]
-        margins = oracle.points[rest] @ h.w
-        revealed, hit = oracle.predict_until_mistake(rest, predict_signs(margins), margins, "random-order")
+        rest = order[pos:]
+        committed, hit = _commit_ordered(
+            oracle, rest, lambda take: oracle.points[rest[take]] @ h.w, "random-order", revealed)
+        revealed = committed.size
         pos += revealed
         if hit:
-            h = update_or_flip(h, oracle.points[rest[revealed - 1]])
+            h = update_or_flip(h, oracle.points[rest[committed[-1]]])
     return oracle.transcript
 
 
@@ -289,8 +293,10 @@ def greedy_adversarial_order(
 
     A stress order: the learner keeps facing the points its current
     hypothesis is least confident about (ties broken by index). The
-    hypothesis is fixed between mistakes, so predictions proceed in the
-    pre-sorted ascending-margin order and re-sort after each update.
+    hypothesis is fixed between mistakes, so each stretch goes through
+    the ordered kernel with key |w . x| over the points still unlabeled,
+    re-scored under the new hypothesis after each update; the first
+    window is the previous stretch's length.
     Starts from `h`, or from a random unit vector drawn from `rng`.
     """
     oracle = LabelOracle(ds)
@@ -298,12 +304,14 @@ def greedy_adversarial_order(
         if rng is None:
             raise ValueError("need either a starting hypothesis or an rng to draw one")
         h = Hypothesis(sample_sphere(ds.d, rng.child(1)))
-    while not oracle.all_predicted():
-        remaining = oracle.unpredicted_indices()
+    remaining = np.arange(ds.n)
+    revealed = 0
+    while remaining.size:
         margins = oracle.points[remaining] @ h.w
-        order = np.argsort(np.abs(margins), kind="stable")
-        ordered, margins = remaining[order], margins[order]
-        revealed, hit = oracle.predict_until_mistake(ordered, predict_signs(margins), margins, "greedy-order")
+        committed, hit = _commit_ordered(
+            oracle, remaining, margins.__getitem__, "greedy-order", revealed, keys=np.abs(margins))
+        revealed = committed.size
         if hit:
-            h = update_or_flip(h, oracle.points[ordered[revealed - 1]])
+            h = update_or_flip(h, oracle.points[remaining[committed[-1]]])
+        remaining = np.delete(remaining, committed)
     return oracle.transcript

@@ -11,8 +11,14 @@ contracts tan^2(theta) by at least (1 - r^2).
 `update_or_flip` is the one mistake rule every learner and baseline
 uses: the projection update, or w -> -w when the mistake point is
 parallel to w (always so in dimension 1) and the projection would zero
-it. `margin_perceptron_pass` is the one ordered kernel: sort by
-decreasing |w . x|, predict until the first mistake, update_or_flip.
+it.
+
+`_commit_ordered` is the one ordered kernel, which the margin pass and
+both order baselines share: it commits candidates in stable
+ascending-key order until the first mistake, one `np.partition` window
+at a time, so what a stretch never reaches is never sorted (nor, when
+scored lazily, scored). `margin_perceptron_pass` is that kernel with key
+-|w . x|, then update_or_flip.
 """
 
 from __future__ import annotations
@@ -117,6 +123,69 @@ def margin_mistake_bound(alpha: float, beta: float) -> float:
     return (2.0 / (beta * beta)) * math.log(1.0 / alpha)
 
 
+# First window of a margin pass. It is small next to the sphere
+# initializer's n/4 candidates, of which a pass mostly reveals a few
+# dozen, and three windows cover a sphere-learner bucket at n=10^6.
+_PASS_FIRST_WINDOW = 128
+
+
+def _key_order_windows(keys: np.ndarray | None, size: int, window: int):
+    """Positions 0..size-1 in stable ascending-key order, one window at a time.
+
+    With keys None the order is position order. Otherwise each window is
+    every not-yet-yielded position whose key is at most the w-th smallest
+    among them (so ties come along), stable-sorted by key. Concatenated,
+    the windows are np.argsort(keys, kind="stable"). w starts at `window`
+    (at least 1) and grows x4 per window.
+    """
+    w = max(1, window)
+    if keys is None:
+        start = 0
+        while start < size:
+            yield np.arange(start, min(start + w, size))
+            start += w
+            w *= 4
+        return
+    rest = np.arange(size)
+    while rest.size > w:
+        rest_keys = keys[rest]
+        inside = rest_keys <= np.partition(rest_keys, w - 1)[w - 1]
+        take = rest[inside]
+        yield take[np.argsort(keys[take], kind="stable")]
+        rest = rest[~inside]
+        w *= 4
+    if rest.size:
+        yield rest[np.argsort(keys[rest], kind="stable")]
+
+
+def _commit_ordered(
+    oracle: LabelOracle,
+    indices: np.ndarray,
+    margins_at,
+    phase: str,
+    window: int,
+    keys: np.ndarray | None = None,
+) -> tuple[np.ndarray, bool]:
+    """Commit nonempty `indices` in stable ascending-key order until the first mistake.
+
+    Windows from _key_order_windows go to `predict_until_mistake` in turn,
+    predicted from `margins_at(positions)`, the margins of
+    indices[positions] under the current hypothesis. That hypothesis is
+    fixed until the first mistake, so the committed sequence is exactly
+    what one commit of the full stable argsort would reveal. Returns the
+    committed positions into `indices`, in commit order, and whether a
+    mistake ended the commit (it is then the last position).
+    """
+    committed = []
+    for take in _key_order_windows(keys, indices.size, window):
+        margins = margins_at(take)
+        revealed, hit = oracle.predict_until_mistake(indices[take], predict_signs(margins), margins, phase)
+        committed.append(take[:revealed])
+        if hit:
+            break
+    return np.concatenate(committed), hit
+
+
 @dataclass
 class PassResult:
     hypothesis: Hypothesis
@@ -125,6 +194,7 @@ class PassResult:
     mistake_index: int | None = None
     update_record: UpdateRecord | None = None
     labels: np.ndarray | None = None  # (predictions, 2): index, revealed label
+    committed: np.ndarray | None = None  # positions into `indices`, in commit order
 
 
 def margin_perceptron_pass(
@@ -138,12 +208,12 @@ def margin_perceptron_pass(
     """One max-margin pass: predict in decreasing |w . x| order, update once.
 
     Points are predicted from the largest absolute margin down (ties by
-    position in `indices`). The first mistake triggers update_or_flip and
-    ends the pass; the remaining points stay unpredicted. Every
-    prediction made is revealed through the oracle and logged. `points`,
-    when given, holds the rows that are scored and updated on in place
-    of oracle.points[indices] (one row per index, e.g. in a transformed
-    frame).
+    position in `indices`), through the windowed kernel with key -|w . x|.
+    The first mistake triggers update_or_flip and ends the pass; the
+    remaining points stay unpredicted. Every prediction made is revealed
+    through the oracle and logged. `points`, when given, holds the rows
+    that are scored and updated on in place of oracle.points[indices]
+    (one row per index, e.g. in a transformed frame).
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
@@ -151,25 +221,23 @@ def margin_perceptron_pass(
     if points is None:
         points = oracle.points[indices]
     margins = points @ h.w
-    order = np.argsort(-np.abs(margins), kind="stable")
-    ordered, margins = indices[order], margins[order]
-    preds = predict_signs(margins)
-    revealed, hit = oracle.predict_until_mistake(ordered, preds, margins, phase)
-    labels = np.column_stack((ordered[:revealed], preds[:revealed]))
+    committed, hit = _commit_ordered(
+        oracle, indices, margins.__getitem__, phase, _PASS_FIRST_WINDOW, keys=-np.abs(margins))
+    labels = np.column_stack((indices[committed], predict_signs(margins[committed])))
     if not hit:
-        return PassResult(h, False, revealed, labels=labels)
-    pos = revealed - 1
-    labels[pos, 1] = -labels[pos, 1]
-    h_next = update_or_flip(h, points[order[pos]])
+        return PassResult(h, False, committed.size, labels=labels, committed=committed)
+    pos = committed[-1]
+    labels[-1, 1] = -labels[-1, 1]
+    h_next = update_or_flip(h, points[pos])
     record = None
     if ground_truth is not None:
         sin_t = math.sin(angle(h.w, ground_truth))
         margin = abs(float(margins[pos]))
         record = UpdateRecord(
-            point_index=int(ordered[pos]),
+            point_index=int(indices[pos]),
             margin=margin,
             r=min(1.0, margin / (h.norm * sin_t)) if sin_t > 0 else 0.0,
             tan_before=tan_theta(h.w, ground_truth),
             tan_after=tan_theta(h_next.w, ground_truth),
         )
-    return PassResult(h_next, True, revealed, int(ordered[pos]), record, labels)
+    return PassResult(h_next, True, committed.size, int(indices[pos]), record, labels, committed)

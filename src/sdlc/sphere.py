@@ -118,7 +118,7 @@ def initialize_hypothesis(
             break
         h = result.hypothesis
         mistakes += 1
-        rest = rest[~oracle.predicted_mask()[rest]]
+        rest = np.delete(rest, result.committed)
     if mistakes == 0:
         return h
     return Hypothesis(h.w / h.norm)

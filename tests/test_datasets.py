@@ -1,12 +1,15 @@
 """Dataset generators, bucketing, and file round-trips."""
 
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sdlc.cli import main
 from sdlc.datasets import (
     ARBITRARY_FAMILIES,
     LabeledDataset,
@@ -134,6 +137,34 @@ def test_clustered_param_validation():
         gen_arbitrary("clustered", 10, 3, {"num_clusters": 0}, RngStream(0))
     with pytest.raises(ValueError):
         gen_arbitrary("clustered", 10, 3, {"spread": -1.0}, RngStream(0))
+
+
+@pytest.mark.parametrize("n, d, seed, digest", [
+    (50_000, 10, 7102, "7c5f07831cb7f15661a38188328b3b58543ef6f958c2bc83d7c13cea1cb5df69"),
+    (300, 1, 13, "22f58a0776aa43193379e26c9986b7238b2df2f436b5bd61566dd496c30f4629"),
+    (300, 6, 13, "24ed6a8f4a8276b4b3900425fd2e08c6fdb3803219a754563fba9019fd6ea0fd"),
+    (300, 12, 13, "c5f076bd9ed1b595a9c72a4e29c2f008b495a647084a6f7d927bed59b91dfb83"),
+])
+def test_clustered_draws_are_pinned(n, d, seed, digest):
+    # the bound on rejection draws must not move a single feasible draw
+    ds = gen_arbitrary("clustered", n, d, {}, RngStream(seed, 0))
+    h = hashlib.sha256()
+    h.update(ds.points.tobytes())
+    h.update(ds.labels.astype("i1").tobytes())
+    h.update(ds.ground_truth.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_cli_generate_rejects_unreachable_margin_floor(tmp_path, capsys):
+    # no draw near a centre reaches margin 0.99: the capped draws end in exit 1, not a hang
+    out = tmp_path / "x.jsonl"
+    start = time.perf_counter()
+    code = main(["generate", "--family", "clustered", "--n", "10", "--d", "3",
+                 "--params", '{"margin_floor": 0.99}', "--out", str(out)])
+    assert code == 1
+    assert time.perf_counter() - start < 10.0
+    assert "margin_floor" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_small_case_exact():

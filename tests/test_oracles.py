@@ -190,9 +190,18 @@ def test_random_order_full_coverage_and_phase():
 
 
 def test_random_order_matches_unblocked_reference():
+    _check_random_order_against_reference(500)
+
+
+def test_random_order_matches_unblocked_reference_across_windows():
+    # 30 mistakes over 58 windows: the window grows and restarts many times
+    _check_random_order_against_reference(20_000)
+
+
+def _check_random_order_against_reference(n):
     from sdlc.datasets import gen_uniform_sphere
 
-    ds = gen_uniform_sphere(500, 4, RngStream(5, 0))
+    ds = gen_uniform_sphere(n, 4, RngStream(5, 0))
     rng = RngStream(5, 2)
     fast = random_order_run(ds, rng)
 

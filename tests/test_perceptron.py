@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sdlc.datasets import LabeledDataset, predict_labels
 from sdlc.errors import DegenerateHypothesisError
-from sdlc.geometry import RngStream, angle, sample_sphere_batch, tan_theta
+from sdlc.geometry import RngStream, angle, predict_signs, sample_sphere_batch, tan_theta
 from sdlc.perceptron import (
     Hypothesis,
     PassResult,
+    _commit_ordered,
     decay_bound,
     margin_mistake_bound,
     margin_perceptron_pass,
@@ -250,3 +253,40 @@ def test_pass_scores_given_points_and_reports_labels():
     assert res.predictions == 1 and res.mistake_index == 1
     assert res.labels.tolist() == [[1, -1]]
     assert np.array_equal(res.hypothesis.w, update_or_flip(h, frame[1]).w)
+
+
+@given(st.data())
+def test_ordered_kernel_commits_the_stable_argsort_prefix(data):
+    # Keys from a small integer range tie heavily; the labels agree with
+    # the predictions up to a chosen first mistake (or everywhere), and
+    # anything after it may disagree. Window by window, the kernel must
+    # commit exactly the stable argsort's prefix through that mistake.
+    m = data.draw(st.integers(1, 60), label="m")
+    by_key = data.draw(st.booleans(), label="keyed")
+    keys = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)), dtype=float)
+    margins = np.array(data.draw(st.lists(st.sampled_from([-0.5, 0.0, 0.5]), min_size=m, max_size=m)))
+    window = data.draw(st.integers(1, m), label="first window")
+    first = data.draw(st.integers(0, m), label="first mistake (m: none)")
+    flips = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+
+    order = np.argsort(keys, kind="stable") if by_key else np.arange(m)
+    preds = predict_signs(margins)
+    truth_in_order = preds[order].copy()
+    if first < m:
+        truth_in_order[first] = -truth_in_order[first]
+        after = np.arange(m) > first
+        truth_in_order[after & flips] = -truth_in_order[after & flips]
+    n = m + 5
+    indices = RngStream(m, 9).gen.permutation(n)[:m]
+    labels = np.ones(n, dtype=np.int64)
+    labels[indices[order]] = truth_in_order
+    oracle = LabelOracle(LabeledDataset(np.ones((n, 1)), labels))
+
+    committed, hit = _commit_ordered(
+        oracle, indices, margins.__getitem__, "p", window, keys=keys if by_key else None)
+
+    stop = first + 1 if first < m else m
+    assert hit == (first < m)
+    assert committed.tolist() == order[:stop].tolist()
+    assert oracle.transcript.predicted_indices().tolist() == indices[order[:stop]].tolist()
+    assert np.flatnonzero(oracle.predicted_mask()).tolist() == sorted(indices[order[:stop]].tolist())

@@ -1,159 +1,3 @@
 """Self-directed learning of halfspaces: learners, baselines, and verifiers."""
 
-from .arbitrary import (
-    BoostBudget,
-    StrongRunResult,
-    WeakRunResult,
-    compute_boost_budget,
-    strong_run,
-    weak_run,
-    weak_sweep_budget,
-)
-from .datasets import (
-    LabeledDataset,
-    export_csv,
-    gen_arbitrary,
-    gen_uniform_sphere,
-    load_jsonl,
-    predict_labels,
-    save_jsonl,
-    split_buckets,
-)
-from .errors import (
-    DegenerateHypothesisError,
-    InfeasibleParametersError,
-    MalformedRecordError,
-    NoConvergenceError,
-    ProtocolError,
-    RegimeError,
-)
-from .forster import (
-    ForsterOutput,
-    RipReport,
-    forster_transform,
-    normalized_map,
-    pullback_separator,
-    rip_check,
-    soft_margin_audit,
-)
-from .geometry import (
-    RngStream,
-    angle,
-    as_vector,
-    in_disagreement,
-    is_unit,
-    predict_sign,
-    sample_sphere,
-    sample_sphere_batch,
-    tan_theta,
-)
-from .harness import (
-    ExperimentConfig,
-    Report,
-    fit_scaling,
-    run_experiment,
-    run_trial,
-    run_verify,
-)
-from .oracles import (
-    TailCheckResult,
-    greedy_adversarial_order,
-    mc_best_mistake_margin,
-    mc_disagreement_mass,
-    mc_max_margin_tail,
-    random_order_run,
-    simulate_superlinear,
-    superlinear_rounds,
-    superlinear_step,
-)
-from .perceptron import (
-    Hypothesis,
-    PassResult,
-    UpdateRecord,
-    decay_bound,
-    margin_mistake_bound,
-    margin_perceptron_pass,
-    mp_update,
-)
-from .sphere import (
-    SphereRunResult,
-    SphereSchedule,
-    initialize_hypothesis,
-    init_prefix_size,
-    make_schedule,
-    run_sphere,
-)
-from .transcript import LabelOracle, PredictionRecord, Transcript
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoostBudget",
-    "DegenerateHypothesisError",
-    "ExperimentConfig",
-    "ForsterOutput",
-    "Hypothesis",
-    "InfeasibleParametersError",
-    "LabelOracle",
-    "LabeledDataset",
-    "MalformedRecordError",
-    "NoConvergenceError",
-    "PassResult",
-    "PredictionRecord",
-    "ProtocolError",
-    "RegimeError",
-    "Report",
-    "RipReport",
-    "RngStream",
-    "SphereRunResult",
-    "SphereSchedule",
-    "StrongRunResult",
-    "TailCheckResult",
-    "Transcript",
-    "UpdateRecord",
-    "WeakRunResult",
-    "angle",
-    "as_vector",
-    "compute_boost_budget",
-    "decay_bound",
-    "export_csv",
-    "fit_scaling",
-    "forster_transform",
-    "gen_arbitrary",
-    "gen_uniform_sphere",
-    "greedy_adversarial_order",
-    "in_disagreement",
-    "init_prefix_size",
-    "initialize_hypothesis",
-    "is_unit",
-    "load_jsonl",
-    "make_schedule",
-    "margin_mistake_bound",
-    "margin_perceptron_pass",
-    "mc_best_mistake_margin",
-    "mc_disagreement_mass",
-    "mc_max_margin_tail",
-    "mp_update",
-    "normalized_map",
-    "predict_labels",
-    "predict_sign",
-    "pullback_separator",
-    "random_order_run",
-    "rip_check",
-    "run_experiment",
-    "run_sphere",
-    "run_trial",
-    "run_verify",
-    "sample_sphere",
-    "sample_sphere_batch",
-    "save_jsonl",
-    "simulate_superlinear",
-    "soft_margin_audit",
-    "split_buckets",
-    "strong_run",
-    "superlinear_rounds",
-    "superlinear_step",
-    "tan_theta",
-    "weak_run",
-    "weak_sweep_budget",
-]

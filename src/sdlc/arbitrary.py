@@ -24,6 +24,7 @@ from .perceptron import Hypothesis, margin_perceptron_pass
 from .transcript import LabelOracle, Transcript
 
 PHASE_WEAK = "weak"
+DEFAULT_C_HAT = 0.3
 
 
 @dataclass
@@ -50,35 +51,24 @@ def weak_sweep_budget(k: int) -> int:
     return max(1, math.ceil(5.0 * k * math.log(k)))
 
 
-def weak_run(
-    oracle: LabelOracle,
-    rng: RngStream,
-    indices: np.ndarray | None = None,
-    phase: str = PHASE_WEAK,
-    forster_delta: float | None = None,
-    forster_max_iters: int | None = None,
-) -> WeakRunResult:
+def weak_run(oracle: LabelOracle, rng: RngStream, phase: str = PHASE_WEAK) -> WeakRunResult:
     """Predict a chunk of the still-unlabeled points, aiming at a 1/(4k) fraction.
 
-    Steps: isotropize the working points (keeping at least a k/d fraction
-    in working dimension k), draw w uniformly from the unit sphere of
-    that subspace, then sweep: one margin_perceptron_pass over the
-    retained points in the working frame (decreasing |w . x| order until a
-    mistake, update_or_flip), re-sort, repeat. Every revealed label is
+    Steps: isotropize the unpredicted points at delta = 1/(2d) (keeping
+    at least a k/d fraction in working dimension k), draw w uniformly from
+    the unit sphere of that subspace, then sweep: one margin_perceptron_pass
+    over the retained points in the working frame (decreasing |w . x| order
+    until a mistake, update_or_flip), re-sort, repeat. Every revealed label is
     accumulated, in reveal order, as a row of `labels`.
     Terminates by coverage once |labels| >= |U|/(4k), or by budget after
     5 k ln k sweeps (one sweep minimum, so k = 1 still gets its
     sign-fixing update).
     """
-    if indices is None:
-        indices = oracle.unpredicted_indices()
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = oracle.unpredicted_indices()
     if indices.size == 0:
         raise ValueError("weak_run needs at least one unpredicted point")
-    if forster_delta is None:
-        forster_delta = 1.0 / (2.0 * oracle.d)
 
-    out = forster_transform(oracle.points[indices], forster_delta, forster_max_iters)
+    out = forster_transform(oracle.points[indices], 1.0 / (2.0 * oracle.d))
     U = out.transformed_points
     k = out.subspace_dim
     orig = indices[out.retained_indices]
@@ -130,7 +120,7 @@ def compute_boost_budget(
     d: int,
     eps: float,
     delta: float,
-    c_hat: float = 0.3,
+    c_hat: float = DEFAULT_C_HAT,
     alpha_hat: float | None = None,
 ) -> BoostBudget:
     """Round and retry counts for the boosting loop.
@@ -181,7 +171,7 @@ def strong_run(
     eps: float,
     delta: float,
     rng: RngStream,
-    c_hat: float = 0.3,
+    c_hat: float = DEFAULT_C_HAT,
     alpha_hat: float | None = None,
 ) -> StrongRunResult:
     """Boost weak runs until at most an eps-fraction stays unlabeled.

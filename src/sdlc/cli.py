@@ -4,7 +4,9 @@ Subcommands: generate (dataset files), run-sphere / run-arbitrary
 (single self-directed runs), baseline (order-policy comparisons),
 verify (the Monte-Carlo battery), and report (full experiment grids).
 Every subcommand accepts --config with a JSON file of defaults;
-explicit flags win over config values. Exit code 0 means success, 2
+explicit flags win over config values, and config values over the
+field defaults of harness.ExperimentConfig, so a single run and a
+report grid start from the same values. Exit code 0 means success, 2
 means a verification or coverage failure, 1 an execution error.
 """
 
@@ -16,13 +18,13 @@ import sys
 from typing import Any
 
 from .arbitrary import strong_run
-from .datasets import gen_arbitrary, gen_uniform_sphere, load_jsonl, save_jsonl
+from .datasets import FAMILIES, load_jsonl, save_jsonl
 from .geometry import RngStream
-from .harness import ExperimentConfig, run_experiment, run_verify
-from .oracles import greedy_adversarial_order, random_order_run
+from .harness import (
+    MODES, ORDERS, STREAM_LEARNER, ExperimentConfig, make_dataset, run_baseline, run_experiment,
+    run_verify,
+)
 from .sphere import make_schedule, run_sphere
-
-_FAMILIES = ("uniform", "clustered", "low_margin", "subspace_degenerate", "grid")
 
 
 def _load_config(path: str | None) -> dict:
@@ -46,14 +48,11 @@ def _dataset_from_args(args, config: dict):
         return load_jsonl(args.data)
     n = int(_pick(args.n, config, "n", 1000))
     d = int(_pick(args.d, config, "d", 5))
-    family = _pick(getattr(args, "family", None), config, "family", "uniform")
+    family = _pick(getattr(args, "family", None), config, "family", ExperimentConfig.family)
     raw_params = _pick(getattr(args, "params", None), config, "family_params", {})
     params = json.loads(raw_params) if isinstance(raw_params, str) else dict(raw_params)
     seed = int(_pick(args.seed, config, "seed", 0))
-    rng = RngStream(seed, 0)
-    if family == "uniform":
-        return gen_uniform_sphere(n, d, rng)
-    return gen_arbitrary(family, n, d, params, rng)
+    return make_dataset(family, n, d, params, seed)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -77,12 +76,12 @@ def _cmd_generate(args) -> int:
 def _cmd_run_sphere(args) -> int:
     config = _load_config(args.config)
     ds = _dataset_from_args(args, config)
-    delta = float(_pick(args.delta, config, "delta", 0.1))
-    c_prime = float(_pick(args.c_prime, config, "c_prime", 4.0))
-    c_init = float(_pick(args.c_init, config, "c_init", 10.0))
+    delta = float(_pick(args.delta, config, "delta", ExperimentConfig.delta))
+    c_prime = float(_pick(args.c_prime, config, "c_prime", ExperimentConfig.c_prime))
+    c_init = float(_pick(args.c_init, config, "c_init", ExperimentConfig.c_init))
     seed = int(_pick(args.seed, config, "seed", 0))
     schedule = make_schedule(ds.n, ds.d, delta, c_prime)
-    res = run_sphere(ds, schedule, RngStream(seed, 1), c_init)
+    res = run_sphere(ds, schedule, RngStream(seed, STREAM_LEARNER), c_init)
     summary = res.transcript.summary()
     print(f"n={ds.n} d={ds.d} T={schedule.T} k={schedule.k} "
           f"fallback={schedule.fallback} mistakes={res.mistakes}")
@@ -99,11 +98,11 @@ def _cmd_run_sphere(args) -> int:
 def _cmd_run_arbitrary(args) -> int:
     config = _load_config(args.config)
     ds = _dataset_from_args(args, config)
-    eps = float(_pick(args.eps, config, "eps", 0.01))
-    delta = float(_pick(args.delta, config, "delta", 0.1))
-    c_hat = float(_pick(args.c_hat, config, "c_hat", 0.3))
+    eps = float(_pick(args.eps, config, "eps", ExperimentConfig.eps))
+    delta = float(_pick(args.delta, config, "delta", ExperimentConfig.delta))
+    c_hat = float(_pick(args.c_hat, config, "c_hat", ExperimentConfig.c_hat))
     seed = int(_pick(args.seed, config, "seed", 0))
-    res = strong_run(ds, eps, delta, RngStream(seed, 1), c_hat)
+    res = strong_run(ds, eps, delta, RngStream(seed, STREAM_LEARNER), c_hat)
     print(f"n={ds.n} d={ds.d} coverage={res.coverage:.4f} mistakes={res.mistakes} "
           f"rounds={res.rounds_used} attempts={res.attempts} partial={res.partial}")
     payload = {"mode": "arbitrary", "seed": seed, "eps": eps, "delta": delta,
@@ -118,15 +117,9 @@ def _cmd_run_arbitrary(args) -> int:
 def _cmd_baseline(args) -> int:
     config = _load_config(args.config)
     ds = _dataset_from_args(args, config)
-    order = _pick(args.order, config, "order", "random")
+    order = _pick(args.order, config, "order", ExperimentConfig.order)
     seed = int(_pick(args.seed, config, "seed", 0))
-    rng = RngStream(seed, 2)
-    if order == "random":
-        transcript = random_order_run(ds, rng)
-    elif order == "greedy":
-        transcript = greedy_adversarial_order(ds, rng=rng)
-    else:
-        raise ValueError(f"order must be 'random' or 'greedy', got {order!r}")
+    transcript = run_baseline(ds, order, seed)  # also rejects an unknown order from --config
     print(f"n={ds.n} d={ds.d} order={order} mistakes={transcript.mistakes}")
     payload = {"mode": "baseline", "order": order, "seed": seed,
                "summary": transcript.summary(),
@@ -189,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", help="dataset JSONL file (overrides --n/--d/--family)")
             p.add_argument("--n", type=int, help="number of points to generate")
             p.add_argument("--d", type=int, help="ambient dimension")
-            p.add_argument("--family", choices=_FAMILIES, help="generated dataset family")
+            p.add_argument("--family", choices=FAMILIES, help="generated dataset family")
             p.add_argument("--params", help="JSON object of family parameters")
 
     p = sub.add_parser("generate", help="write a dataset JSONL file")
@@ -214,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="random-order or greedy-order perceptron run")
     add_common(p)
-    p.add_argument("--order", choices=("random", "greedy"), help="order policy")
+    p.add_argument("--order", choices=ORDERS, help="order policy")
     p.add_argument("--records", action="store_true", help="include per-prediction records in --out")
     p.set_defaults(func=_cmd_baseline)
 
@@ -224,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run an experiment grid from a config file")
     add_common(p, with_data=False)
-    p.add_argument("--mode", choices=("sphere", "arbitrary", "baseline", "verify"),
-                   help="override the config's mode")
+    p.add_argument("--mode", choices=MODES, help="override the config's mode")
     p.set_defaults(func=_cmd_report)
 
     return parser

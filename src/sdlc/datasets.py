@@ -7,7 +7,6 @@ every dataset is linearly separable by construction.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 from dataclasses import dataclass
@@ -16,10 +15,11 @@ import numpy as np
 
 from .errors import InfeasibleParametersError, MalformedRecordError
 from .geometry import (
-    UNIT_TOL, RngStream, as_vector, predict_sign, predict_signs, sample_sphere, sample_sphere_batch,
+    UNIT_TOL, RngStream, as_vector, predict_signs, sample_sphere, sample_sphere_batch,
 )
 
 ARBITRARY_FAMILIES = ("clustered", "low_margin", "subspace_degenerate", "grid")
+FAMILIES = ("uniform",) + ARBITRARY_FAMILIES
 _NUMBER_TYPES = frozenset((int, float))
 # Rejection draws allowed per clustered point. A point whose acceptance
 # rate is below about 1e-4 exhausts them and the parameters are rejected
@@ -56,12 +56,6 @@ class LabeledDataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    def consistent_with_ground_truth(self) -> bool:
-        """Check labels[i] == sign(w* . x_i) for all i (sign(0) = +1)."""
-        if self.ground_truth is None:
-            raise ValueError("dataset has no ground truth")
-        return bool(np.array_equal(predict_labels(self.points, self.ground_truth), self.labels))
 
 
 def gen_uniform_sphere(n: int, d: int, rng: RngStream) -> LabeledDataset:
@@ -284,22 +278,7 @@ def load_jsonl(path: str) -> LabeledDataset:
     return LabeledDataset(points, labels, gt)
 
 
-def export_csv(ds: LabeledDataset, path: str) -> None:
-    """Lossy CSV export (17 significant digits): columns x1..xd, y."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(ds.d)] + ["y"])
-        for x, y in zip(ds.points, ds.labels):
-            writer.writerow([f"{v:.17g}" for v in x] + [int(y)])
-
-
 def predict_labels(points: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Vectorized sign(w . x) with the sign(0) = +1 convention."""
     return predict_signs(points @ w)
 
-
-__all__ = [
-    "ARBITRARY_FAMILIES", "LabeledDataset", "gen_uniform_sphere", "gen_arbitrary",
-    "split_buckets", "save_jsonl", "load_jsonl", "export_csv", "predict_labels",
-    "predict_sign",
-]

@@ -68,15 +68,6 @@ def rip_check(X: np.ndarray, delta: float) -> RipReport:
     return RipReport(float(eigvals[0]), dev, d, delta)
 
 
-def normalized_map(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Ax / ||Ax||; raises when the image is numerically zero."""
-    y = A @ x
-    norm = float(np.linalg.norm(y))
-    if norm < 1e-300:
-        raise ValueError("map is singular at this point (Ax = 0)")
-    return y / norm
-
-
 def _normalize_rows(Y: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(Y, axis=1)
     if np.any(norms < 1e-300):

@@ -66,10 +66,6 @@ def as_vector(v, d: int | None = None) -> np.ndarray:
     return arr
 
 
-def is_unit(v: np.ndarray, tol: float = UNIT_TOL) -> bool:
-    return abs(float(np.dot(v, v)) - 1.0) <= 2 * tol
-
-
 def sample_sphere(d: int, rng: RngStream) -> np.ndarray:
     """Draw a uniform point on the unit sphere in R^d.
 
@@ -126,14 +122,6 @@ def tan_theta(u: np.ndarray, v: np.ndarray) -> float:
         return math.inf
     ratio = nu2 * nv2 / (dot * dot) - 1.0
     return math.sqrt(max(0.0, ratio))
-
-
-def in_disagreement(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
-    """True when the halfspaces normal to u and v label x differently.
-
-    The boundary (either dot product zero) counts as disagreement.
-    """
-    return float(np.dot(u, x)) * float(np.dot(v, x)) <= 0.0
 
 
 def predict_sign(value: float) -> int:

@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .arbitrary import DEFAULT_C_HAT, strong_run
 from .datasets import LabeledDataset, gen_arbitrary, gen_uniform_sphere
 from .geometry import RngStream
-from .arbitrary import strong_run
 from .oracles import (
     greedy_adversarial_order,
     mc_best_mistake_margin,
@@ -30,7 +30,8 @@ from .oracles import (
     random_order_run,
     simulate_superlinear,
 )
-from .sphere import make_schedule, run_sphere
+from .sphere import DEFAULT_C_INIT, DEFAULT_C_PRIME, make_schedule, run_sphere
+from .transcript import Transcript
 
 # Stream ids keep dataset generation, learner randomness, and baseline
 # randomness independent per seed; sphere and baseline trials at the
@@ -41,6 +42,7 @@ STREAM_BASELINE = 2
 STREAM_VERIFY = 3
 
 MODES = ("sphere", "arbitrary", "baseline", "verify")
+ORDERS = ("random", "greedy")
 CSV_COLUMNS = ("mode", "d", "n", "seed", "mistakes", "coverage", "runtime_ms")
 
 
@@ -52,9 +54,9 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
     delta: float = 0.1
     eps: float = 0.01
-    c_prime: float = 4.0
-    c_init: float = 10.0
-    c_hat: float = 0.3
+    c_prime: float = DEFAULT_C_PRIME
+    c_init: float = DEFAULT_C_INIT
+    c_hat: float = DEFAULT_C_HAT
     alpha_hat: float | None = None
     family: str = "uniform"
     family_params: dict = field(default_factory=dict)
@@ -72,8 +74,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0 and not (name == "eps" and value == 1.0):
                 raise ValueError(f"{name} must be in (0, 1), got {value}")
-        if self.order not in ("random", "greedy"):
-            raise ValueError(f"order must be 'random' or 'greedy', got {self.order!r}")
+        _check_order(self.order)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -147,27 +148,38 @@ def fit_scaling(points: list[tuple[float, float]]) -> dict:
     return {"log": one_fit(np.log(ns)), "loglog": one_fit(np.log(np.log(ns)))}
 
 
-def _make_dataset(cfg: ExperimentConfig, n: int, d: int, seed: int) -> LabeledDataset:
+def _check_order(order: str) -> None:
+    if order not in ORDERS:
+        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
+
+
+def make_dataset(family: str, n: int, d: int, params: dict | None, seed: int) -> LabeledDataset:
+    """The dataset of one (family, n, d, seed), drawn from stream STREAM_DATA."""
     rng = RngStream(seed, STREAM_DATA)
-    if cfg.family == "uniform":
+    if family == "uniform":
         return gen_uniform_sphere(n, d, rng)
-    return gen_arbitrary(cfg.family, n, d, cfg.family_params, rng)
+    return gen_arbitrary(family, n, d, params, rng)
+
+
+def run_baseline(ds: LabeledDataset, order: str, seed: int) -> Transcript:
+    """One order-policy baseline (one of ORDERS) on stream STREAM_BASELINE."""
+    _check_order(order)
+    rng = RngStream(seed, STREAM_BASELINE)
+    if order == "random":
+        return random_order_run(ds, rng)
+    return greedy_adversarial_order(ds, rng=rng)
 
 
 def run_trial(cfg: ExperimentConfig, d: int, n: int, seed: int) -> dict:
     """One (d, n, seed) cell trial; returns a CSV-ready row."""
     start = time.perf_counter()
-    ds = _make_dataset(cfg, n, d, seed)
+    ds = make_dataset(cfg.family, n, d, cfg.family_params, seed)
     if cfg.mode == "sphere":
         schedule = make_schedule(n, d, cfg.delta, cfg.c_prime)
         res = run_sphere(ds, schedule, RngStream(seed, STREAM_LEARNER), cfg.c_init)
         mistakes, coverage = res.mistakes, 1.0
     elif cfg.mode == "baseline":
-        rng = RngStream(seed, STREAM_BASELINE)
-        if cfg.order == "random":
-            transcript = random_order_run(ds, rng)
-        else:
-            transcript = greedy_adversarial_order(ds, rng=rng)
+        transcript = run_baseline(ds, cfg.order, seed)
         mistakes, coverage = transcript.mistakes, 1.0
     elif cfg.mode == "arbitrary":
         res = strong_run(ds, cfg.eps, cfg.delta, RngStream(seed, STREAM_LEARNER),

@@ -223,8 +223,11 @@ def superlinear_rounds(rho: float, kappa: float, M: float, delta: float) -> int:
     return max(0, math.ceil(1.5 * (inner / rho + math.log(math.e / delta))))
 
 
-def superlinear_step(xi: float, rho: float, kappa: float) -> float:
-    """One decay step of the recurrence: xi -> xi^(1-rho) * kappa^rho."""
+def superlinear_step(xi, rho: float, kappa: float):
+    """One decay step of the recurrence: xi -> xi^(1-rho) * kappa^rho.
+
+    xi is a float or an array of floats.
+    """
     return xi ** (1.0 - rho) * kappa ** rho
 
 
@@ -256,7 +259,7 @@ def simulate_superlinear(
     xi = np.full(trials, float(start))
     for _ in range(T):
         mask = gen.uniform(size=trials) < p_decay
-        xi[mask] = xi[mask] ** (1.0 - rho) * kappa ** rho
+        xi[mask] = superlinear_step(xi[mask], rho, kappa)
     emp = float(np.mean(xi > math.e ** 2 * kappa))
     se = math.sqrt(delta * (1.0 - delta) / trials)
     return TailCheckResult(emp, delta, se, trials, {"rounds": T})

@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHypothesisError
-from .geometry import angle, predict_sign, predict_signs, tan_theta
+from .geometry import angle, predict_signs, tan_theta
 from .transcript import LabelOracle
 
 NORM_FLOOR = 1e-300
-NORM_CACHE_RTOL = 1e-12
 
 
 class Hypothesis:
@@ -51,15 +50,8 @@ class Hypothesis:
         self.w = w
         self.norm = norm
 
-    def predict(self, x: np.ndarray) -> int:
-        return predict_sign(float(self.w @ x))
-
     def margin(self, x: np.ndarray) -> float:
         return float(self.w @ x)
-
-    def norm_consistent(self) -> bool:
-        actual = float(np.linalg.norm(self.w))
-        return abs(actual - self.norm) <= NORM_CACHE_RTOL * max(actual, self.norm)
 
 
 @dataclass

@@ -76,13 +76,12 @@ def make_schedule(n: int, d: int, delta: float, c_prime: float = DEFAULT_C_PRIME
     )
 
 
-def init_prefix_size(n: int, d: int, delta: float) -> int:
+def init_prefix_size(n: int) -> int:
     """Points reserved for the initializer: a quarter of the data, n // 4.
 
     The margin-ordered initializer spends a mistake only when the most
     confident prediction still left is wrong, so a larger prefix buys a
-    better starting direction rather than more mistakes. `d` and `delta`
-    do not enter the size.
+    better starting direction rather than more mistakes.
     """
     return max(1, n // 4)
 
@@ -166,7 +165,7 @@ def run_sphere(
         h = _fallback_run(oracle, rng)
         return SphereRunResult(oracle.transcript, schedule, h, None)
 
-    prefix_size = init_prefix_size(ds.n, ds.d, schedule.delta)
+    prefix_size = init_prefix_size(ds.n)
     prefix = np.arange(prefix_size, dtype=np.int64)
     h0 = initialize_hypothesis(oracle, prefix, schedule.delta, rng.child(0), c_init)
     h_w = h_v = h0

@@ -38,14 +38,20 @@ class Transcript:
         self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str]] = []
 
     def append_chunk(self, indices, predictions, truths, margins, phase: str) -> None:
-        idx = np.asarray(indices, dtype=np.int64)
+        """Log one chunk of predictions.
+
+        Every column is copied: the log never pins the arrays it was
+        sliced from, and a caller writing to its arrays later leaves the
+        logged records as they were.
+        """
+        idx = np.array(indices, dtype=np.int64)
         if idx.size == 0:
             return
         self._chunks.append((
             idx,
-            np.asarray(predictions, dtype=np.int8),
-            np.asarray(truths, dtype=np.int8),
-            np.asarray(margins, dtype=np.float64),
+            np.array(predictions, dtype=np.int8),
+            np.array(truths, dtype=np.int8),
+            np.array(margins, dtype=np.float64),
             phase,
         ))
 
@@ -104,12 +110,12 @@ class LabelOracle:
     instrumentation-only name - learners must not touch it.
     """
 
-    def __init__(self, ds: LabeledDataset, transcript: Transcript | None = None):
+    def __init__(self, ds: LabeledDataset):
         self._ds = ds
         self._labels = ds.labels
         self._predicted = np.zeros(ds.n, dtype=bool)
         self._stamp = np.empty(ds.n, dtype=np.int64)
-        self.transcript = transcript if transcript is not None else Transcript()
+        self.transcript = Transcript()
 
     @property
     def points(self) -> np.ndarray:

@@ -62,8 +62,10 @@ def test_boost_budget_validation():
 
 def test_weak_run_rejects_empty():
     ds = gen_uniform_sphere(10, 3, RngStream(0))
+    oracle = LabelOracle(ds)
+    oracle.predict_bulk(np.arange(ds.n), np.ones(ds.n), np.zeros(ds.n), "all")
     with pytest.raises(ValueError):
-        weak_run(LabelOracle(ds), RngStream(0, 1), indices=np.array([], dtype=np.int64))
+        weak_run(oracle, RngStream(0, 1))
 
 
 def test_weak_run_perfect_start_covers_in_one_sweep():

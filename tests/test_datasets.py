@@ -13,7 +13,6 @@ from sdlc.cli import main
 from sdlc.datasets import (
     ARBITRARY_FAMILIES,
     LabeledDataset,
-    export_csv,
     gen_arbitrary,
     gen_uniform_sphere,
     load_jsonl,
@@ -41,12 +40,6 @@ def test_dataset_validation():
         LabeledDataset(np.zeros(4), [1, 1, 1, 1])
 
 
-def test_consistency_check_requires_truth():
-    ds = LabeledDataset(np.eye(2), [1, 1])
-    with pytest.raises(ValueError):
-        ds.consistent_with_ground_truth()
-
-
 # ------------------------------------------------------------ uniform sphere
 
 def test_gen_uniform_rejects_bad_sizes():
@@ -58,7 +51,7 @@ def test_gen_uniform_rejects_bad_sizes():
 
 def test_gen_uniform_labels_and_norms():
     ds = gen_uniform_sphere(200, 4, RngStream(0))
-    assert ds.consistent_with_ground_truth()
+    assert np.array_equal(predict_labels(ds.points, ds.ground_truth), ds.labels)
     assert np.all(np.abs(np.linalg.norm(ds.points, axis=1) - 1.0) <= 1e-9)
     assert set(np.unique(ds.labels)) <= {-1, 1}
 
@@ -90,7 +83,7 @@ def test_families_unit_norm_and_consistent(family):
     ds = gen_arbitrary(family, 300, 4, {}, RngStream(5))
     assert ds.n == 300 and ds.d == 4
     assert np.all(np.abs(np.linalg.norm(ds.points, axis=1) - 1.0) <= 1e-9)
-    assert ds.consistent_with_ground_truth()
+    assert np.array_equal(predict_labels(ds.points, ds.ground_truth), ds.labels)
 
 
 def test_subspace_degenerate_rank_one():
@@ -322,15 +315,6 @@ def test_jsonl_bad_dimension(tmp_path):
     path.write_text('{"d": 3, "n": 1, "ground_truth": null}\n{"x": [1.0, 0.0], "y": 1}\n')
     with pytest.raises(MalformedRecordError):
         load_jsonl(str(path))
-
-
-def test_export_csv(tmp_path):
-    ds = gen_uniform_sphere(5, 2, RngStream(0))
-    path = tmp_path / "ds.csv"
-    export_csv(ds, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,y"
-    assert len(lines) == 6
 
 
 def test_predict_labels_boundary_convention():

@@ -11,7 +11,6 @@ from sdlc.forster import (
     ForsterOutput,
     forster_transform,
     jacobi_eigh,
-    normalized_map,
     pullback_separator,
     rip_check,
     soft_margin_audit,
@@ -75,18 +74,6 @@ def test_rip_check_flags_non_unit_points():
 def test_rip_check_rejects_empty():
     with pytest.raises(ValueError):
         rip_check(np.zeros((0, 3)), 0.1)
-
-
-# ----------------------------------------------------------------------- maps
-
-def test_normalized_map_example():
-    out = normalized_map(np.diag([2.0, 1.0]), np.array([1.0, 1.0]))
-    assert np.allclose(out, np.array([2.0, 1.0]) / math.sqrt(5.0))
-
-
-def test_normalized_map_singular():
-    with pytest.raises(ValueError):
-        normalized_map(np.zeros((2, 2)), np.array([1.0, 0.0]))
 
 
 # ------------------------------------------------------------------ transform

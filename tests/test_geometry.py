@@ -11,8 +11,6 @@ from sdlc.geometry import (
     RngStream,
     angle,
     as_vector,
-    in_disagreement,
-    is_unit,
     predict_sign,
     sample_sphere,
     sample_sphere_batch,
@@ -116,11 +114,6 @@ def test_as_vector_checks():
         as_vector([])
 
 
-def test_is_unit():
-    assert is_unit(np.array([0.6, 0.8]))
-    assert not is_unit(np.array([1.0, 1.0]))
-
-
 # --------------------------------------------------------------------- angle
 
 def test_angle_examples():
@@ -172,20 +165,6 @@ def test_tan_theta_matches_tan_of_angle(data, d):
 
 
 # ------------------------------------------------------------- disagreement
-
-def test_in_disagreement_examples():
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    assert not in_disagreement(e1, e1, e1)
-    # boundary case: u.x = 0 counts as disagreement
-    assert in_disagreement(e2, e1, -e1)
-    theta = math.pi / 3
-    u = e2
-    v = np.array([-math.sin(theta), math.cos(theta), 0.0])
-    phi = math.radians(10.0)
-    x = np.array([math.cos(phi), math.sin(phi), 0.0])
-    assert in_disagreement(x, u, v)
-
 
 def test_disagreement_mass_matches_angle_fraction():
     theta = math.pi / 3

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -163,6 +166,35 @@ def test_cli_generate_and_load(tmp_path, capsys):
     assert "wrote 50 points in dimension 3" in capsys.readouterr().out
     ds = load_jsonl(str(out))
     assert ds.n == 50 and ds.d == 3
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["run-sphere"], ExperimentConfig(mode="sphere")),
+    (["baseline", "--order", "random"], ExperimentConfig(mode="baseline", order="random")),
+    (["baseline", "--order", "greedy"], ExperimentConfig(mode="baseline", order="greedy")),
+    (["run-arbitrary"], ExperimentConfig(mode="arbitrary")),
+], ids=["run-sphere", "baseline-random", "baseline-greedy", "run-arbitrary"])
+def test_cli_and_harness_agree(argv, cfg, tmp_path, capsys):
+    # Same seed, same defaults: a CLI run and a harness trial draw the same
+    # dataset from the same streams, so they make the same mistakes.
+    seed = 11
+    out = tmp_path / "run.json"
+    code = main([*argv, "--n", "2000", "--d", "5", "--seed", str(seed), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    row = run_trial(cfg, 5, 2000, seed)
+    assert json.loads(out.read_text())["summary"]["mistakes"] == row["mistakes"]
+
+
+def test_module_entry_point_runs_with_the_bare_package(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = tmp_path / "ds.jsonl"
+    for args in (["--help"], ["generate", "--n", "50", "--d", "3", "--out", str(out)]):
+        proc = subprocess.run([sys.executable, "-m", "sdlc.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert load_jsonl(str(out)).n == 50
 
 
 def test_cli_generate_requires_out():

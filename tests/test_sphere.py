@@ -70,8 +70,8 @@ def test_schedule_invariants(n, d, delta, c_prime):
 
 
 def test_init_prefix_size_examples():
-    assert init_prefix_size(100_000, 5, 0.1) == 25_000
-    assert init_prefix_size(100, 5, 0.1) == 25
+    assert init_prefix_size(100_000) == 25_000
+    assert init_prefix_size(100) == 25
 
 
 # ---------------------------------------------------------------- initializer
@@ -127,7 +127,7 @@ def test_initializer_lands_near_truth():
     hits = 0
     for trial in range(100):
         ds = gen_uniform_sphere(100_000, 5, RngStream(trial, 0))
-        prefix = np.arange(init_prefix_size(ds.n, ds.d, 0.1))
+        prefix = np.arange(init_prefix_size(ds.n))
         h = initialize_hypothesis(LabelOracle(ds), prefix, 0.1, RngStream(trial, 1))
         if angle(h.w, ds.ground_truth) <= 0.5:
             hits += 1

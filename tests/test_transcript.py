@@ -149,6 +149,20 @@ def test_transcript_bookkeeping():
     assert "records" not in lean and lean["summary"]["mistakes"] == 1
 
 
+@pytest.mark.parametrize("entry", ["predict_bulk", "predict_until_mistake"])
+def test_logged_records_do_not_alias_the_callers_arrays(entry):
+    oracle = small_oracle()
+    idx = np.array([0, 1, 2, 3], dtype=np.int64)
+    margins = np.array([0.4, 0.3, 0.2, 0.1], dtype=np.float64)
+    preds = np.array([1, 1, -1, 1], dtype=np.int64)  # the last one is a mistake
+    getattr(oracle, entry)(idx, preds, margins, "p")
+    before = _state(oracle)
+    idx[:] = 99
+    margins[:] = -7.0
+    preds[:] = 0
+    assert _state(oracle) == before
+
+
 def test_oracle_exposes_truth_for_instrumentation_only():
     oracle = small_oracle()
     assert oracle.instrumentation_ground_truth is not None

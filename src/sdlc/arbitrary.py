@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import islice
 
 from .datasets import LabeledDataset
 from .errors import NoConvergenceError
 from .forster import ForsterOutput, forster_transform, pullback_separator
 from .geometry import RngStream, sample_sphere
-from .perceptron import Hypothesis, margin_perceptron_pass
+from .perceptron import Hypothesis, margin_sweeps
 from .transcript import LabelOracle, Transcript
 
 PHASE_WEAK = "weak"
@@ -31,7 +30,7 @@ DEFAULT_C_HAT = 0.3
 class WeakRunResult:
     """One weak-learner attempt over a working set U of retained points."""
 
-    labels: np.ndarray  # (revealed, 2) int64 rows: dataset index, revealed label
+    revealed: int  # labels revealed; the oracle's transcript holds them
     mistakes: int
     terminated_by: str  # "coverage" | "budget"
     k: int
@@ -56,13 +55,11 @@ def weak_run(oracle: LabelOracle, rng: RngStream, phase: str = PHASE_WEAK) -> We
 
     Steps: isotropize the unpredicted points at delta = 1/(2d) (keeping
     at least a k/d fraction in working dimension k), draw w uniformly from
-    the unit sphere of that subspace, then sweep: one margin_perceptron_pass
-    over the retained points in the working frame (decreasing |w . x| order
-    until a mistake, update_or_flip), re-sort, repeat. Every revealed label is
-    accumulated, in reveal order, as a row of `labels`.
-    Terminates by coverage once |labels| >= |U|/(4k), or by budget after
-    5 k ln k sweeps (one sweep minimum, so k = 1 still gets its
-    sign-fixing update).
+    the unit sphere of that subspace, then margin_sweeps over the retained
+    points in the working frame (decreasing |w . x| order until a mistake,
+    update_or_flip, re-sort, repeat). Terminates by coverage once the
+    revealed labels number at least |U|/(4k), or by budget after 5 k ln k
+    sweeps (one sweep minimum, so k = 1 still gets its sign-fixing update).
     """
     indices = oracle.unpredicted_indices()
     if indices.size == 0:
@@ -83,24 +80,15 @@ def weak_run(oracle: LabelOracle, rng: RngStream, phase: str = PHASE_WEAK) -> We
 
     budget = weak_sweep_budget(k)
     target = m / (4.0 * k)
-    labels: list[np.ndarray] = []
-    covered = mistakes = 0
-    remaining = np.arange(m)
+    revealed = mistakes = 0
     terminated_by = "budget"
-    for _ in range(budget):
-        if remaining.size == 0:
-            break
-        result = margin_perceptron_pass(oracle, orig[remaining], h, phase, points=U[remaining])
-        h = result.hypothesis
+    for result in islice(margin_sweeps(oracle, orig, h, phase, points=U), budget):
         mistakes += int(result.updated)
-        labels.append(result.labels)
-        covered += result.predictions
-        remaining = np.delete(remaining, result.committed)
-        if covered >= target:
+        revealed += result.committed.size
+        if revealed >= target:
             terminated_by = "coverage"
             break
-    labels = np.concatenate(labels) if labels else np.empty((0, 2), dtype=np.int64)
-    return WeakRunResult(labels, mistakes, terminated_by, k, m, initial_ok, out)
+    return WeakRunResult(revealed, mistakes, terminated_by, k, m, initial_ok, out)
 
 
 @dataclass(frozen=True)

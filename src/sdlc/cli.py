@@ -13,6 +13,7 @@ means a verification or coverage failure, 1 an execution error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any
@@ -86,9 +87,7 @@ def _cmd_run_sphere(args) -> int:
     print(f"n={ds.n} d={ds.d} T={schedule.T} k={schedule.k} "
           f"fallback={schedule.fallback} mistakes={res.mistakes}")
     payload = {"mode": "sphere", "seed": seed,
-               "schedule": {"n": schedule.n, "d": schedule.d, "delta": schedule.delta,
-                            "c_prime": schedule.c_prime, "T": schedule.T,
-                            "k": schedule.k, "N": schedule.N, "fallback": schedule.fallback},
+               "schedule": dataclasses.asdict(schedule),
                "summary": summary,
                "transcript": res.transcript.to_json_dict(include_records=args.records)}
     _write_json(_pick(args.out, config, "out", None), payload)

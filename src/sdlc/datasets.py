@@ -249,9 +249,16 @@ def load_jsonl(path: str) -> LabeledDataset:
         raise MalformedRecordError(1, "empty file, expected a header")
     try:
         header = json.loads(lines[0])
-        d, n = int(header["d"]), int(header["n"])
-        truth = header.get("ground_truth")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        d, n, truth = header["d"], header["n"], header.get("ground_truth")
+        # Exact types, as for the records: int() would accept 2.9, "2" and true.
+        if type(d) is not int or d < 1:
+            raise ValueError(f"d must be an integer >= 1, got {d!r}")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be an integer >= 0, got {n!r}")
+        if truth is not None and not (isinstance(truth, list) and _NUMBER_TYPES.issuperset(map(type, truth))):
+            raise ValueError("ground_truth must be null or a list of numbers")
+        gt = None if truth is None else as_vector(truth, d)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecordError(1, f"bad header: {exc}") from None
     if len(lines) - 1 != n:
         raise MalformedRecordError(len(lines), f"header says n={n} but file has {len(lines) - 1} records")
@@ -274,7 +281,6 @@ def load_jsonl(path: str) -> LabeledDataset:
     off_sphere = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
     if off_sphere.size:
         raise MalformedRecordError(int(off_sphere[0]) + 2, "x must be a finite unit vector")
-    gt = None if truth is None else np.asarray(truth, dtype=np.float64)
     return LabeledDataset(points, labels, gt)
 
 

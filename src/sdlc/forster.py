@@ -101,14 +101,14 @@ class ForsterOutput:
 
 def _try_extract(
     X: np.ndarray, Y: np.ndarray, eigvecs: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Smallest k whose top-k eigenspace holds >= k/d of the points.
 
     The whitened residuals only nominate candidates: the accumulated
     transform can be badly conditioned, inflating float noise on points
     that lie exactly in the subspace. Membership is decided back in the
     original frame, against an SVD basis of the candidate block.
-    Returns (k, member mask, (d, k) orthonormal basis).
+    Returns (member mask, (d, k) orthonormal basis).
     """
     n, d = Y.shape
     unit_X = _normalize_rows(X)
@@ -124,7 +124,7 @@ def _try_extract(
         inside = np.linalg.norm(strict, axis=1) <= RESIDUAL_TOL
         count = int(inside.sum())
         if count >= 1 and count / n >= k / d - 1e-12:
-            return k, inside, basis
+            return inside, basis
     return None
 
 
@@ -183,18 +183,13 @@ def forster_transform(X: np.ndarray, delta: float, max_iters: int | None = None)
         if lam_min < RANK_FLOOR or collapse_streak >= COLLAPSE_WINDOW or stalled:
             found = _try_extract(X, Y, eigvecs)
             if found is not None:
-                k, inside, basis = found
+                inside, basis = found
                 members = np.flatnonzero(inside)
                 coords = X[members] @ basis
                 inner = forster_transform(coords, delta, max_iters)
-                k_final = inner.subspace_dim
                 basis_final = basis @ inner.subspace_basis
-                comp = _orthogonal_complement(basis)
-                frame = np.hstack([basis, comp])
-                block = np.zeros((d, d))
-                block[:k, :k] = inner.A
-                block[k:, k:] = np.eye(d - k)
-                A_final = frame @ block @ frame.T
+                # inner.A on span(basis), the identity on its complement.
+                A_final = basis @ inner.A @ basis.T + (np.eye(d) - basis @ basis.T)
                 retained = members[inner.retained_indices]
                 return ForsterOutput(
                     A=A_final, subspace_basis=basis_final, retained_indices=retained,
@@ -214,18 +209,6 @@ def forster_transform(X: np.ndarray, delta: float, max_iters: int | None = None)
         f"no isotropy certificate after {max_iters} whitening iterations",
         last_report,
     )
-
-
-def _orthogonal_complement(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal complement of a (d, k) orthonormal-column basis."""
-    d, k = basis.shape
-    if k >= d:
-        return np.zeros((d, 0))
-    proj = np.eye(d) - basis @ basis.T
-    q, r = np.linalg.qr(proj)
-    # Keep the d-k columns with meaningful pivots.
-    keep = np.argsort(-np.abs(np.diag(r)))[: d - k]
-    return q[:, np.sort(keep)]
 
 
 def soft_margin_audit(X: np.ndarray, u: np.ndarray) -> float:

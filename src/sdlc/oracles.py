@@ -287,11 +287,7 @@ def random_order_run(ds: LabeledDataset, rng: RngStream) -> Transcript:
     return oracle.transcript
 
 
-def greedy_adversarial_order(
-    ds: LabeledDataset,
-    h: Hypothesis | None = None,
-    rng: RngStream | None = None,
-) -> Transcript:
+def greedy_adversarial_order(ds: LabeledDataset, rng: RngStream) -> Transcript:
     """Always serve the unlabeled point with the smallest |w . x|.
 
     A stress order: the learner keeps facing the points its current
@@ -300,13 +296,10 @@ def greedy_adversarial_order(
     the ordered kernel with key |w . x| over the points still unlabeled,
     re-scored under the new hypothesis after each update; the first
     window is the previous stretch's length.
-    Starts from `h`, or from a random unit vector drawn from `rng`.
+    Starts from a random unit vector drawn from `rng`.
     """
     oracle = LabelOracle(ds)
-    if h is None:
-        if rng is None:
-            raise ValueError("need either a starting hypothesis or an rng to draw one")
-        h = Hypothesis(sample_sphere(ds.d, rng.child(1)))
+    h = Hypothesis(sample_sphere(ds.d, rng.child(1)))
     remaining = np.arange(ds.n)
     revealed = 0
     while remaining.size:

@@ -18,13 +18,15 @@ both order baselines share: it commits candidates in stable
 ascending-key order until the first mistake, one `np.partition` window
 at a time, so what a stretch never reaches is never sorted (nor, when
 scored lazily, scored). `margin_perceptron_pass` is that kernel with key
--|w . x|, then update_or_flip.
+-|w . x|, then update_or_flip; `margin_sweeps` repeats it over what is
+left, re-sorted after each update, for every self-directed learner.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -66,12 +68,8 @@ class UpdateRecord:
 
 
 def mp_update(h: Hypothesis, x: np.ndarray) -> Hypothesis:
-    """Apply w' = w - (w . x) x for a unit-norm mistake point x."""
-    w_next = h.w - (h.w @ x) * x
-    if float(np.linalg.norm(w_next)) < NORM_FLOOR:
-        raise DegenerateHypothesisError(
-            "update annihilated the hypothesis (x parallel to w)")
-    return Hypothesis(w_next)
+    """Apply w' = w - (w . x) x for a unit-norm mistake point x (Hypothesis rejects w' = 0)."""
+    return Hypothesis(h.w - (h.w @ x) * x)
 
 
 def update_or_flip(h: Hypothesis, x: np.ndarray) -> Hypothesis:
@@ -182,11 +180,8 @@ def _commit_ordered(
 class PassResult:
     hypothesis: Hypothesis
     updated: bool
-    predictions: int     # how many labels this pass revealed
-    mistake_index: int | None = None
+    committed: np.ndarray  # positions into `indices` in commit order; a mistake is last
     update_record: UpdateRecord | None = None
-    labels: np.ndarray | None = None  # (predictions, 2): index, revealed label
-    committed: np.ndarray | None = None  # positions into `indices`, in commit order
 
 
 def margin_perceptron_pass(
@@ -209,17 +204,15 @@ def margin_perceptron_pass(
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
-        return PassResult(h, False, 0)
+        return PassResult(h, False, np.empty(0, dtype=np.int64))
     if points is None:
         points = oracle.points[indices]
     margins = points @ h.w
     committed, hit = _commit_ordered(
         oracle, indices, margins.__getitem__, phase, _PASS_FIRST_WINDOW, keys=-np.abs(margins))
-    labels = np.column_stack((indices[committed], predict_signs(margins[committed])))
     if not hit:
-        return PassResult(h, False, committed.size, labels=labels, committed=committed)
+        return PassResult(h, False, committed)
     pos = committed[-1]
-    labels[-1, 1] = -labels[-1, 1]
     h_next = update_or_flip(h, points[pos])
     record = None
     if ground_truth is not None:
@@ -232,4 +225,25 @@ def margin_perceptron_pass(
             tan_before=tan_theta(h.w, ground_truth),
             tan_after=tan_theta(h_next.w, ground_truth),
         )
-    return PassResult(h_next, True, committed.size, int(indices[pos]), record, labels, committed)
+    return PassResult(h_next, True, committed, record)
+
+
+def margin_sweeps(oracle: LabelOracle, indices: np.ndarray, h: Hypothesis, phase: str,
+                  points: np.ndarray | None = None) -> Iterator[PassResult]:
+    """Yield margin passes over what earlier passes left, until one makes no mistake.
+
+    Each pass starts from the previous one's hypothesis, and its
+    `committed` positions index the shrunken `indices` (and `points`) it
+    ran on. The sweeps also end when nothing is left; callers stop them
+    earlier with itertools.islice or break.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    while indices.size:
+        result = margin_perceptron_pass(oracle, indices, h, phase, points=points)
+        yield result
+        if not result.updated:
+            return
+        h = result.hypothesis
+        indices = np.delete(indices, result.committed)
+        if points is not None:
+            points = np.delete(points, result.committed, axis=0)

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
 
 from .datasets import LabeledDataset, split_buckets
 from .geometry import RngStream, predict_signs, sample_sphere
-from .perceptron import Hypothesis, UpdateRecord, margin_perceptron_pass
+from .perceptron import Hypothesis, UpdateRecord, margin_perceptron_pass, margin_sweeps
 from .transcript import LabelOracle, Transcript
 
 DEFAULT_C_PRIME = 4.0
@@ -96,7 +97,7 @@ def initialize_hypothesis(
     """Train a starting direction on the reserved prefix, self-directed.
 
     Starts from a random unit vector and runs max-margin passes over the
-    unpredicted prefix points (margin_perceptron_pass): each pass predicts
+    unpredicted prefix points (margin_sweeps): each pass predicts
     in decreasing |w.x| order until the first mistake, applies the
     projection update, and the next pass re-sorts under the new direction.
     A mistake point parallel to w (certain at d=1) flips w instead
@@ -109,18 +110,11 @@ def initialize_hypothesis(
     d = oracle.d
     budget = math.ceil(c_init * d * math.log(1.0 / delta))
     h = Hypothesis(sample_sphere(d, rng))
-    rest = np.asarray(prefix, dtype=np.int64)
-    mistakes = 0
-    while rest.size and mistakes < budget:
-        result = margin_perceptron_pass(oracle, rest, h, PHASE_INIT)
-        if not result.updated:
-            break
+    updated = False
+    for result in islice(margin_sweeps(oracle, prefix, h, PHASE_INIT), budget):
         h = result.hypothesis
-        mistakes += 1
-        rest = np.delete(rest, result.committed)
-    if mistakes == 0:
-        return h
-    return Hypothesis(h.w / h.norm)
+        updated |= result.updated
+    return Hypothesis(h.w / h.norm) if updated else h
 
 
 @dataclass
@@ -138,8 +132,8 @@ class SphereRunResult:
 def _fallback_run(oracle: LabelOracle, rng: RngStream) -> Hypothesis:
     """Single arm over the whole set, re-sorting by margin after every update."""
     h = Hypothesis(sample_sphere(oracle.d, rng.child(0)))
-    while not oracle.all_predicted():
-        h = margin_perceptron_pass(oracle, oracle.unpredicted_indices(), h, PHASE_TRAIN_W).hypothesis
+    for result in margin_sweeps(oracle, np.arange(oracle.n), h, PHASE_TRAIN_W):
+        h = result.hypothesis
     return h
 
 
@@ -159,6 +153,8 @@ def run_sphere(
     """
     if ds.n != schedule.n or ds.d != schedule.d:
         raise ValueError("schedule does not match the dataset shape")
+    if c_init <= 0.0:
+        raise ValueError(f"c_init must be positive, got {c_init}")
     oracle = LabelOracle(ds)
 
     if schedule.fallback:
@@ -168,24 +164,18 @@ def run_sphere(
     prefix_size = init_prefix_size(ds.n)
     prefix = np.arange(prefix_size, dtype=np.int64)
     h0 = initialize_hypothesis(oracle, prefix, schedule.delta, rng.child(0), c_init)
-    h_w = h_v = h0
+    h = {"w": h0, "v": h0}
 
     rest = np.arange(prefix_size, ds.n, dtype=np.int64)
     buckets = split_buckets(rest.size, 2 * schedule.k, rng.child(1))
     truth = ds.ground_truth if instrument is not None else None
 
     for t in range(schedule.k):
-        bucket_w = rest[buckets[t]]
-        res_w = margin_perceptron_pass(oracle, bucket_w, h_w, PHASE_TRAIN_W, truth)
-        h_w = res_w.hypothesis
-        if instrument is not None and res_w.update_record is not None:
-            instrument("w", t, res_w.update_record)
-
-        bucket_v = rest[buckets[schedule.k + t]]
-        res_v = margin_perceptron_pass(oracle, bucket_v, h_v, PHASE_TRAIN_V, truth)
-        h_v = res_v.hypothesis
-        if instrument is not None and res_v.update_record is not None:
-            instrument("v", t, res_v.update_record)
+        for arm, bucket, phase in (("w", t, PHASE_TRAIN_W), ("v", schedule.k + t, PHASE_TRAIN_V)):
+            res = margin_perceptron_pass(oracle, rest[buckets[bucket]], h[arm], phase, truth)
+            h[arm] = res.hypothesis
+            if instrument is not None and res.update_record is not None:
+                instrument(arm, t, res.update_record)
 
     # Cross-labeling: w labels what v trained on, v labels what w trained
     # on, so no point is ever predicted by a hypothesis its label touched.
@@ -193,10 +183,10 @@ def run_sphere(
     v_side = rest[np.concatenate([buckets[schedule.k + t] for t in range(schedule.k)])]
     # Prefix points the initializer never reached (its budget ran out) go to w.
     mask = oracle.predicted_mask()
-    for todo, h in ((v_side, h_w), (w_side, h_v), (prefix, h_w)):
+    for todo, arm in ((v_side, "w"), (w_side, "v"), (prefix, "w")):
         todo = todo[~mask[todo]]
-        margins = oracle.points[todo] @ h.w
+        margins = oracle.points[todo] @ h[arm].w
         oracle.predict_bulk(todo, predict_signs(margins), margins, PHASE_CROSS)
 
     assert oracle.all_predicted()
-    return SphereRunResult(oracle.transcript, schedule, h_w, h_v)
+    return SphereRunResult(oracle.transcript, schedule, h["w"], h["v"])

@@ -272,13 +272,15 @@ def test_a07_weak_learner_contract():
         n = 200 + 37 * (seed % 11)
         for fi, family in enumerate(ARBITRARY_FAMILIES):
             ds = gen_arbitrary(family, n, d, {}, RngStream(seed, STREAM_DATA).child(fi))
-            res = weak_run(LabelOracle(ds), RngStream(seed, STREAM_LEARNER).child(fi))
+            oracle = LabelOracle(ds)
+            res = weak_run(oracle, RngStream(seed, STREAM_LEARNER).child(fi))
             assert res.mistakes <= 5.0 * res.k * math.log(max(res.k, 1)) + 1.0, (seed, family)
-            for idx, lab in res.labels:
-                assert lab == ds.labels[idx], (seed, family, idx)
+            assert res.revealed == len(oracle.transcript), (seed, family)
+            for r in oracle.transcript.records():
+                assert r.truth == ds.labels[r.index], (seed, family, r.index)
             if res.terminated_by == "coverage":
                 coverage_hits += 1
-                assert len(res.labels) >= res.coverage_target, (seed, family)
+                assert res.revealed >= res.coverage_target, (seed, family)
             runs += 1
     freq = coverage_hits / runs
     ok = runs == 200 and freq >= 0.3

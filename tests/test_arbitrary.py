@@ -78,33 +78,38 @@ def test_weak_run_perfect_start_covers_in_one_sweep():
     labels[out.retained_indices] = np.where(out.transformed_points @ w0 >= 0.0, 1, -1)
     ds = LabeledDataset(pts, labels)
 
-    res = weak_run(LabelOracle(ds), RngStream(52, 1))
+    oracle = LabelOracle(ds)
+    res = weak_run(oracle, RngStream(52, 1))
     assert res.mistakes == 0
     assert res.terminated_by == "coverage"
-    assert len(res.labels) == res.working_size == 400
+    assert res.revealed == len(oracle.transcript) == res.working_size == 400
     assert res.initial_correlation_ok is None  # no ground truth to audit against
     assert res.coverage_target == pytest.approx(400 / (4.0 * res.k))
 
 
 def test_weak_run_d1():
     ds = gen_uniform_sphere(30, 1, RngStream(7, 0))
-    res = weak_run(LabelOracle(ds), RngStream(7, 1))
+    oracle = LabelOracle(ds)
+    res = weak_run(oracle, RngStream(7, 1))
     assert res.k == 1
     assert res.mistakes <= 1
-    for idx, lab in res.labels:
-        assert lab == ds.labels[idx]
+    assert res.revealed == len(oracle.transcript)
+    for r in oracle.transcript.records():
+        assert r.truth == ds.labels[r.index]
 
 
 def test_weak_run_battery_labels_and_budget():
     for seed in range(3):
         for fi, family in enumerate(ARBITRARY_FAMILIES):
             ds = gen_arbitrary(family, 300, 4, {}, RngStream(seed, 0).child(fi))
-            res = weak_run(LabelOracle(ds), RngStream(seed, 1).child(fi))
+            oracle = LabelOracle(ds)
+            res = weak_run(oracle, RngStream(seed, 1).child(fi))
             assert res.mistakes <= weak_sweep_budget(res.k)
-            for idx, lab in res.labels:
-                assert lab == ds.labels[idx]
+            assert res.revealed == len(oracle.transcript)
+            for r in oracle.transcript.records():
+                assert r.truth == ds.labels[r.index]
             if res.terminated_by == "coverage":
-                assert len(res.labels) >= res.coverage_target
+                assert res.revealed >= res.coverage_target
             assert isinstance(res.initial_correlation_ok, bool)
 
 
@@ -112,9 +117,12 @@ def test_weak_run_skips_already_predicted():
     ds = gen_uniform_sphere(200, 3, RngStream(9, 0))
     oracle = LabelOracle(ds)
     first = weak_run(oracle, RngStream(9, 1).child(0))
-    done = {idx for idx, _ in first.labels}
+    done = set(oracle.transcript.predicted_indices().tolist())
+    assert len(done) == first.revealed
     second = weak_run(oracle, RngStream(9, 1).child(1))
-    assert done.isdisjoint(idx for idx, _ in second.labels)
+    new = oracle.transcript.predicted_indices()[first.revealed:]
+    assert new.size == second.revealed
+    assert done.isdisjoint(new.tolist())
 
 
 def _weak_run_reference(ds, rng, phase="weak"):
@@ -163,7 +171,8 @@ def test_weak_run_matches_per_point_reference(data):
     got = [(r.index, r.prediction, r.truth, r.phase) for r in oracle.transcript.records()]
     want = [(r.index, r.prediction, r.truth, r.phase) for r in transcript.records()]
     assert got == want
-    assert fast.labels.tolist() == [list(row) for row in labels]
+    assert fast.revealed == len(labels)
+    assert [(r.index, r.truth) for r in oracle.transcript.records()] == labels
     assert (fast.mistakes, fast.terminated_by) == (mistakes, terminated_by)
     assert mistakes > 0
 

@@ -312,9 +312,37 @@ def test_jsonl_empty_file(tmp_path):
 
 def test_jsonl_bad_dimension(tmp_path):
     path = tmp_path / "dim.jsonl"
+    # Each header is rejected on line 1, before the record is read.
+    bad_headers = [
+        '{"d": 2.9, "n": 1, "ground_truth": null}',
+        '{"d": "2", "n": 1, "ground_truth": null}',
+        '{"d": true, "n": 1, "ground_truth": null}',
+        '{"d": 0, "n": 1, "ground_truth": null}',
+        '{"d": -2, "n": 1, "ground_truth": null}',
+        '{"d": 2, "n": true, "ground_truth": null}',
+        '{"d": 2, "n": 1.0, "ground_truth": null}',
+        '{"d": 2, "n": -1, "ground_truth": null}',
+        '{"d": 2, "ground_truth": null}',
+        '{"d": 2, "n": 1, "ground_truth": [1.0]}',
+        '{"d": 2, "n": 1, "ground_truth": [1.0, 0.0, 0.0]}',
+        '{"d": 2, "n": 1, "ground_truth": [1.0, NaN]}',
+        '{"d": 2, "n": 1, "ground_truth": [1e400, 0.0]}',
+        '{"d": 2, "n": 1, "ground_truth": [1' + '0' * 400 + ', 0]}',
+        '{"d": 2, "n": 1, "ground_truth": [1.0, "0"]}',
+        '{"d": 2, "n": 1, "ground_truth": [true, 0.0]}',
+        '{"d": 2, "n": 1, "ground_truth": 1.0}',
+        '[2, 1]',
+    ]
+    for header in bad_headers:
+        path.write_text(header + '\n{"x": [1.0, 0.0], "y": 1}\n')
+        with pytest.raises(MalformedRecordError) as err:
+            load_jsonl(str(path))
+        assert err.value.line_number == 1, header
+    # A record shorter than the header's d is rejected on its own line.
     path.write_text('{"d": 3, "n": 1, "ground_truth": null}\n{"x": [1.0, 0.0], "y": 1}\n')
-    with pytest.raises(MalformedRecordError):
+    with pytest.raises(MalformedRecordError) as err:
         load_jsonl(str(path))
+    assert err.value.line_number == 2
 
 
 def test_predict_labels_boundary_convention():

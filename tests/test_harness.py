@@ -301,6 +301,8 @@ def test_cli_report_happy_path(tmp_path, capsys):
 def test_cli_error_exit_code(capsys):
     assert main(["run-sphere", "--data", "/nonexistent/nowhere.jsonl"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["run-sphere", "--n", "100", "--d", "3", "--c-init", "-1"]) == 1
+    assert "c_init must be positive" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_config(tmp_path, capsys):

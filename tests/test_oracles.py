@@ -229,24 +229,11 @@ def test_random_order_d1_small():
     assert transcript.mistakes <= 2
 
 
-def test_greedy_needs_learner_or_rng():
-    ds = LabeledDataset(np.eye(2), [1, 1])
-    with pytest.raises(ValueError):
-        greedy_adversarial_order(ds)
-
-
 def test_greedy_single_point():
     ds = LabeledDataset(np.array([[1.0, 0.0]]), [1])
     transcript = greedy_adversarial_order(ds, rng=RngStream(0, 2))
     assert len(transcript) == 1
     assert transcript.phases() == ["greedy-order"]
-
-
-def test_greedy_accepts_prebuilt_learner():
-    pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    ds = LabeledDataset(pts, predict_labels(pts, np.array([1.0, 1.0])))
-    transcript = greedy_adversarial_order(ds, Hypothesis(np.array([1.0, 1.0])))
-    assert transcript.mistakes == 0
 
 
 def _cross_polytope(d, copies, w_star):

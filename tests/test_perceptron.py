@@ -1,6 +1,7 @@
 """Projection update, decay law, and the max-margin pass."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from sdlc.errors import DegenerateHypothesisError
 from sdlc.geometry import RngStream, angle, predict_signs, sample_sphere_batch, tan_theta
 from sdlc.perceptron import (
     Hypothesis,
-    PassResult,
     _commit_ordered,
     decay_bound,
     margin_mistake_bound,
     margin_perceptron_pass,
+    margin_sweeps,
     mp_update,
     update_or_flip,
 )
@@ -155,7 +156,7 @@ def test_pass_empty_indices():
     oracle = _oracle_for(np.eye(2), np.array([1.0, 1.0]))
     h = Hypothesis(np.array([1.0, 0.0]))
     res = margin_perceptron_pass(oracle, np.array([], dtype=np.int64), h)
-    assert res == PassResult(h, False, 0)
+    assert not res.updated and res.committed.size == 0 and res.update_record is None
     assert res.hypothesis is h
 
 
@@ -164,8 +165,8 @@ def test_pass_without_mistake_reveals_everything():
     pts = sample_sphere_batch(40, 3, RngStream(6))
     oracle = _oracle_for(pts, w)
     res = margin_perceptron_pass(oracle, np.arange(40), Hypothesis(w), phase="p")
-    assert not res.updated and res.predictions == 40
-    assert res.mistake_index is None
+    assert not res.updated and res.committed.size == 40
+    assert sorted(res.committed.tolist()) == list(range(40))
     assert oracle.transcript.mistakes == 0
     assert oracle.all_predicted()
 
@@ -185,7 +186,7 @@ def test_pass_predicts_in_decreasing_margin_order():
     # full sweep: indices 0, 2, 1 agree, then 3 is the mistake
     seen = [rec.index for rec in oracle.transcript.records()]
     assert seen == [0, 2, 1, 3]
-    assert res.updated and res.predictions == 4 and res.mistake_index == 3
+    assert res.updated and res.committed.tolist() == [0, 2, 1, 3]
 
 
 def test_pass_stops_at_first_mistake():
@@ -198,7 +199,7 @@ def test_pass_stops_at_first_mistake():
     ])
     oracle = _oracle_for(pts, w_truth)
     res = margin_perceptron_pass(oracle, np.arange(3), h)
-    assert res.predictions == 1 and res.mistake_index == 0
+    assert res.committed.tolist() == [0]
     assert oracle.unpredicted_indices().tolist() == [1, 2]
 
 
@@ -221,7 +222,7 @@ def test_pass_update_record_fields():
     pts = np.array([[R2, -R2]])  # h predicts 0 -> +1? margin 0; truth says -1
     oracle = _oracle_for(pts, w_truth)
     res = margin_perceptron_pass(oracle, np.arange(1), h, ground_truth=w_truth)
-    assert res.updated and res.mistake_index == 0
+    assert res.updated and res.committed.tolist() == [0]
     rec = res.update_record
     assert rec is not None and rec.point_index == 0
     assert 0.0 <= rec.r <= 1.0
@@ -233,22 +234,39 @@ def test_pass_flips_on_annihilation():
     # d=1: any mistake point is parallel to w, so the pass flips w
     oracle = _oracle_for(np.array([[1.0]]), np.array([-1.0]))
     res = margin_perceptron_pass(oracle, np.arange(1), Hypothesis(np.array([1.0])))
-    assert res.updated and res.mistake_index == 0
+    assert res.updated and res.committed.tolist() == [0]
     assert res.hypothesis.w.tolist() == [-1.0]
 
 
 def test_pass_scores_given_points_and_reports_labels():
     # the rows in `points` are scored and updated on in place of the
-    # oracle's own points; labels list what was revealed, in order
+    # oracle's own points; the transcript lists what was revealed, in order
     w_truth = np.array([0.0, 1.0])
     oracle = _oracle_for(np.array([[R2, R2], [R2, -R2], [-R2, R2]]), w_truth)
     frame = np.array([[0.2, 0.0], [0.9, 0.0], [-0.5, 0.0]])  # margins under h: 0.2, 0.9, -0.5
     h = Hypothesis(np.array([1.0, 0.0]))
     res = margin_perceptron_pass(oracle, np.array([0, 1, 2]), h, points=frame)
     # order by |margin|: index 1 (0.9, predicted +1, truth -1) is the first mistake
-    assert res.predictions == 1 and res.mistake_index == 1
-    assert res.labels.tolist() == [[1, -1]]
+    assert res.updated and res.committed.tolist() == [1]
+    assert [(r.index, r.truth) for r in oracle.transcript.records()] == [(1, -1)]
     assert np.array_equal(res.hypothesis.w, update_or_flip(h, frame[1]).w)
+
+
+def test_sweeps_run_until_a_pass_without_mistake():
+    # every pass but the last updates; together they commit each index once
+    pts = sample_sphere_batch(120, 3, RngStream(12))
+    oracle = _oracle_for(pts, np.array([0.3, -1.0, 0.5]))
+    indices = np.arange(0, 120, 2)
+    h = Hypothesis(np.array([1.0, 0.0, 0.0]))
+    results = list(margin_sweeps(oracle, indices, h, "s"))
+    assert len(results) > 1
+    assert all(r.updated for r in results[:-1]) and not results[-1].updated
+    assert sum(r.committed.size for r in results) == len(oracle.transcript) == indices.size
+    assert sorted(oracle.transcript.predicted_indices().tolist()) == indices.tolist()
+    # a caller that stops early leaves the rest unpredicted
+    oracle = _oracle_for(pts, np.array([0.3, -1.0, 0.5]))
+    first = list(islice(margin_sweeps(oracle, indices, h, "s"), 1))
+    assert len(oracle.transcript) == first[0].committed.size == results[0].committed.size
 
 
 @given(st.data())

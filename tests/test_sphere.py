@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sdlc.datasets import LabeledDataset, gen_uniform_sphere, predict_labels
-from sdlc.geometry import RngStream, angle, sample_sphere, sample_sphere_batch
+from sdlc.geometry import RngStream, angle, predict_sign, sample_sphere, sample_sphere_batch
+from sdlc.perceptron import Hypothesis, update_or_flip
 from sdlc.sphere import (
     DEFAULT_C_INIT,
     PHASE_CROSS,
@@ -51,6 +52,18 @@ def test_schedule_validation():
         make_schedule(100, 2, 1.0)
     with pytest.raises(ValueError):
         make_schedule(100, 2, 0.1, 0.0)
+
+
+def test_run_rejects_nonpositive_c_init():
+    # checked up front, so also in fallback mode, which never spends the
+    # initializer's budget ceil(c_init * d * ln(1/delta))
+    for n, d, fallback in ((100, 3, False), (100, 10, True)):
+        ds = gen_uniform_sphere(n, d, RngStream(0))
+        schedule = make_schedule(n, d, 0.1)
+        assert schedule.fallback == fallback
+        for c_init in (0.0, -1.0):
+            with pytest.raises(ValueError, match="c_init"):
+                run_sphere(ds, schedule, RngStream(0, 1), c_init)
 
 
 @given(
@@ -119,6 +132,67 @@ def test_initializer_predicts_in_margin_order_within_budget(c_init):
     for a, b in zip(init, init[1:]):
         if a.prediction == a.truth:
             assert abs(b.margin) <= abs(a.margin), (a, b)
+
+
+def _margin_order_reference(ds, indices, h, phase, budget=math.inf):
+    """The initializer and the fallback arm one point at a time: predict the
+    unpredicted point with the largest |w . x| (ties to the lower index),
+    update_or_flip on a mistake, stop at the mistake budget or when no
+    point is left. One oracle call per point."""
+    oracle = LabelOracle(ds)
+    remaining = [int(i) for i in indices]
+    mistakes = 0
+    while remaining and mistakes < budget:
+        i = max(remaining, key=lambda j: (abs(h.margin(ds.points[j])), -j))
+        remaining.remove(i)
+        margin = h.margin(ds.points[i])
+        pred = predict_sign(margin)
+        if oracle.predict(i, pred, margin, phase) != pred:
+            mistakes += 1
+            h = update_or_flip(h, ds.points[i])
+    return oracle.transcript, h
+
+
+def _records(transcript):
+    return [(r.index, r.prediction, r.truth, r.phase) for r in transcript.records()]
+
+
+def _uniform_or_ties(data, n, d, seed):
+    if data == "uniform":
+        return gen_uniform_sphere(n, d, RngStream(seed, 0))
+    # +-e_i repeated: exact |margin| ties, and exact zeros after each update
+    w_star = sample_sphere(d, RngStream(seed, 1))
+    pts = np.tile(np.vstack([np.eye(d), -np.eye(d)]), (n // (2 * d), 1))
+    return LabeledDataset(pts, predict_labels(pts, w_star), w_star)
+
+
+@pytest.mark.parametrize("c_init", [DEFAULT_C_INIT, 0.2])
+@pytest.mark.parametrize("data", ["uniform", "cross_polytope"])
+def test_initializer_matches_per_point_reference(data, c_init):
+    # the default budget outlasts the prefix; c_init=0.2 (budget 2) stops first
+    ds = _uniform_or_ties(data, 400, 4, 21)
+    prefix = np.arange(100)
+    budget = math.ceil(c_init * ds.d * math.log(1.0 / 0.1))
+    start = Hypothesis(sample_sphere(ds.d, RngStream(21, 2)))
+    transcript, h = _margin_order_reference(ds, prefix, start, PHASE_INIT, budget)
+    oracle = LabelOracle(ds)
+    got = initialize_hypothesis(oracle, prefix, 0.1, RngStream(21, 2), c_init)
+    assert _records(oracle.transcript) == _records(transcript)
+    assert 0 < transcript.mistakes <= budget
+    assert np.array_equal(got.w, h.w / h.norm)
+
+
+@pytest.mark.parametrize("data", ["uniform", "cross_polytope"])
+def test_fallback_run_matches_per_point_reference(data):
+    ds = _uniform_or_ties(data, 100, 10, 22)
+    schedule = make_schedule(ds.n, ds.d, 0.1)
+    assert schedule.fallback
+    start = Hypothesis(sample_sphere(ds.d, RngStream(22, 2).child(0)))
+    transcript, h = _margin_order_reference(ds, range(ds.n), start, PHASE_TRAIN_W)
+    res = run_sphere(ds, schedule, RngStream(22, 2))
+    assert _records(res.transcript) == _records(transcript)
+    assert transcript.mistakes > 0
+    assert np.array_equal(res.hypothesis_w.w, h.w)
 
 
 def test_initializer_lands_near_truth():

@@ -275,7 +275,10 @@ def load_jsonl(path: str) -> LabeledDataset:
             raise MalformedRecordError(i, f"x must be a list of {d} numbers")
         if type(y) is not int or y not in (-1, 1):
             raise MalformedRecordError(i, f"label must be the integer -1 or +1, got {y!r}")
-        points[i - 2] = x
+        try:
+            points[i - 2] = x
+        except OverflowError:
+            raise MalformedRecordError(i, "x holds an integer too large for a float") from None
         labels[i - 2] = y
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))  # no (n, d) temporary
     off_sphere = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -74,6 +75,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0 and not (name == "eps" and value == 1.0):
                 raise ValueError(f"{name} must be in (0, 1), got {value}")
+        for name in ("c_prime", "c_init"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 < self.c_hat <= 1.0:
+            raise ValueError(f"c_hat must be in (0, 1], got {self.c_hat}")
         _check_order(self.order)
 
     @classmethod
@@ -198,44 +205,43 @@ def run_verify(seed: int = 0) -> list[dict]:
 
     Every configured cell has a non-vacuous analytic bound; the battery
     passes only if every cell's empirical frequency stays within three
-    standard errors of its bound.
+    standard errors of its bound. Check i draws from its own stream
+    `child(i)` of (seed, STREAM_VERIFY), so the checks run one per usable
+    core and the results do not depend on the core count.
     """
     root = RngStream(seed, STREAM_VERIFY)
-    checks: list[tuple[str, object]] = []
-    stream = iter(range(1000))
-
-    def child() -> RngStream:
-        return root.child(next(stream))
-
+    checks: list[tuple[str, object, tuple, dict]] = []
     for theta in (0.1, math.pi / 4, math.pi / 2):
         checks.append((f"disagreement-mass-mean-theta={theta:.4g}",
-                       mc_disagreement_mass(3, theta, 10_000, 1000, child(), check="mean")))
-    checks.append(("disagreement-mass-tail-theta=pi/4",
-                   mc_disagreement_mass(3, math.pi / 4, 10_000, 1000, child(),
-                                        check="tail", tail_delta=0.01)))
-    checks.append(("conditional-margin-case1-d3",
-                   mc_max_margin_tail(3, math.pi / 2, 100, 0.5, 1, 2000, child())))
-    checks.append(("conditional-margin-case1-d6",
-                   mc_max_margin_tail(6, math.pi / 3, 40, 0.3, 1, 2000, child())))
-    checks.append(("conditional-margin-case2-d4",
-                   mc_max_margin_tail(4, 1.0, 50, 0.5, 2, 2000, child())))
-    checks.append(("conditional-margin-case2-d2",
-                   mc_max_margin_tail(2, math.pi / 4, 30, 0.6, 2, 2000, child())))
-    checks.append(("conditional-margin-case2-d2-tight",
-                   mc_max_margin_tail(2, math.pi / 2, 5, 0.7, 2, 4000, child())))
-    checks.append(("best-mistake-margin-case1",
-                   mc_best_mistake_margin(4, 0.5, 10_000, 4.0, 1, 2000, child())))
-    checks.append(("best-mistake-margin-case2",
-                   mc_best_mistake_margin(4, 0.5, 10_000, 4.0, 2, 2000, child())))
-    checks.append(("superlinear-decay",
-                   simulate_superlinear(0.125, 1e-6, 1.0, 2.0 / 3.0, 0.1, 10_000, child())))
+                       mc_disagreement_mass, (3, theta, 10_000, 1000), {"check": "mean"}))
+    checks += [
+        ("disagreement-mass-tail-theta=pi/4",
+         mc_disagreement_mass, (3, math.pi / 4, 10_000, 1000), {"check": "tail", "tail_delta": 0.01}),
+        ("conditional-margin-case1-d3", mc_max_margin_tail, (3, math.pi / 2, 100, 0.5, 1, 2000), {}),
+        ("conditional-margin-case1-d6", mc_max_margin_tail, (6, math.pi / 3, 40, 0.3, 1, 2000), {}),
+        ("conditional-margin-case2-d4", mc_max_margin_tail, (4, 1.0, 50, 0.5, 2, 2000), {}),
+        ("conditional-margin-case2-d2", mc_max_margin_tail, (2, math.pi / 4, 30, 0.6, 2, 2000), {}),
+        ("conditional-margin-case2-d2-tight", mc_max_margin_tail, (2, math.pi / 2, 5, 0.7, 2, 4000), {}),
+        ("best-mistake-margin-case1", mc_best_mistake_margin, (4, 0.5, 10_000, 4.0, 1, 2000), {}),
+        ("best-mistake-margin-case2", mc_best_mistake_margin, (4, 0.5, 10_000, 4.0, 2, 2000), {}),
+        ("superlinear-decay", simulate_superlinear, (0.125, 1e-6, 1.0, 2.0 / 3.0, 0.1, 10_000), {}),
+    ]
+    streams = [root.child(i) for i in range(len(checks))]
 
-    results = []
-    for name, res in checks:
-        results.append({"name": name, "empirical": res.empirical, "bound": res.bound,
-                        "std_err": res.std_err, "trials": res.trials,
-                        "passed": bool(res.passed), **{f"detail_{k}": v for k, v in res.details.items()}})
-    return results
+    def run(check: tuple[str, object, tuple, dict], rng: RngStream) -> dict:
+        name, oracle, args, kwargs = check
+        res = oracle(*args, rng=rng, **kwargs)
+        return {"name": name, "empirical": res.empirical, "bound": res.bound,
+                "std_err": res.std_err, "trials": res.trials,
+                "passed": bool(res.passed), **{f"detail_{k}": v for k, v in res.details.items()}}
+
+    # Imported here: concurrent.futures pulls in logging, about 10 ms that
+    # every other command would pay at startup.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # The oracles spend their time in numpy calls that release the GIL.
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        return list(pool.map(run, checks, streams))
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:

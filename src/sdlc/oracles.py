@@ -27,6 +27,10 @@ from .geometry import RngStream, sample_sphere
 from .perceptron import Hypothesis, _commit_ordered, update_or_flip
 from .transcript import LabelOracle, Transcript
 
+# Points per block of the Monte-Carlo kernels: enough to amortise numpy's
+# per-call cost, few enough that a block's arrays take a few MB per check.
+_BLOCK_POINTS = 1 << 18
+
 
 @dataclass
 class TailCheckResult:
@@ -43,18 +47,47 @@ class TailCheckResult:
         return self.empirical <= self.bound + 3.0 * self.std_err
 
 
-def _disagreement_frame(d: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit pair at angle theta; the margin direction is u."""
+def _disagreement_frame(d: int, theta: float) -> tuple[float, float]:
+    """The pair u = e_1, v = -sin(theta) e_0 + cos(theta) e_1 at angle theta.
+
+    The margin direction is u. Returns v's two nonzero coordinates.
+    """
     if d < 2:
         raise ValueError("disagreement geometry needs dimension >= 2")
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must be in (0, pi), got {theta}")
-    u = np.zeros(d)
-    u[1] = 1.0
-    v = np.zeros(d)
-    v[0] = -math.sin(theta)
-    v[1] = math.cos(theta)
-    return u, v
+    return -math.sin(theta), math.cos(theta)
+
+
+def _in_region(x: np.ndarray, v: tuple[float, float]) -> np.ndarray:
+    """Mask of the rows of x in the disagreement region: u . x and v . x differ in sign or vanish.
+
+    The test reads only signs, so the rows need not be normalised, and
+    it reads only columns 0 and 1, so it needs no matrix product.
+    """
+    x1 = x[:, 1]
+    s = x[:, 0] * v[0]
+    s += x1 * v[1]
+    s *= x1
+    return s <= 0.0
+
+
+def _normal_blocks(gen: np.random.Generator, n: int, d: int, trials: int):
+    """Standard normal points of `trials` trials of n points each, whole trials at a time.
+
+    Yields (first trial, k, points of shape (k * n, d)), with about
+    _BLOCK_POINTS points per block; the yielded array is reused by the
+    next block. One draw of k * n rows returns the same numbers as k
+    draws of n rows, so each trial sees the points a per-trial loop
+    would draw.
+    """
+    per_block = max(1, min(trials, _BLOCK_POINTS // n))
+    buf = np.empty((per_block * n, d))
+    for first in range(0, trials, per_block):
+        k = min(per_block, trials - first)
+        x = buf[:k * n]
+        gen.standard_normal(out=x)
+        yield first, k, x
 
 
 def mc_disagreement_mass(
@@ -76,14 +109,12 @@ def mc_disagreement_mass(
     """
     if trials < 100:
         raise ValueError(f"need trials >= 100 for a stable comparison, got {trials}")
-    u, v = _disagreement_frame(d, theta)
-    gen = rng.gen
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    v = _disagreement_frame(d, theta)
     fractions = np.empty(trials)
-    for t in range(trials):
-        x = gen.normal(size=(n, d))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        hits = (x @ u) * (x @ v) <= 0.0
-        fractions[t] = hits.mean()
+    for first, k, x in _normal_blocks(rng.gen, n, d, trials):
+        fractions[first:first + k] = _in_region(x, v).reshape(k, n).mean(axis=1)
     p = theta / math.pi
     if check == "mean":
         diff = abs(float(fractions.mean()) - p)
@@ -98,20 +129,23 @@ def mc_disagreement_mass(
 
 
 def _conditional_disagreement_samples(
-    total: int, d: int, theta: float, u: np.ndarray, v: np.ndarray, gen: np.random.Generator
+    total: int, d: int, theta: float, v: tuple[float, float], gen: np.random.Generator
 ) -> np.ndarray:
-    """Rejection-sample `total` unit points from the disagreement region."""
+    """Rejection-sample `total` unit points from the disagreement region.
+
+    The samples are the first `total` accepted draws of the stream, so the
+    chunk sizes change only how far past them the stream is read.
+    """
     accept_rate = theta / math.pi
     out = np.empty((total, d))
     have = 0
     while have < total:
-        chunk = min(2_000_000, max(8192, int(1.5 * (total - have) / accept_rate)))
-        x = gen.normal(size=(chunk, d))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        keep = x[(x @ u) * (x @ v) <= 0.0]
-        take = min(keep.shape[0], total - have)
-        out[have:have + take] = keep[:take]
-        have += take
+        chunk = min(_BLOCK_POINTS, max(8192, int(1.5 * (total - have) / accept_rate)))
+        x = gen.standard_normal((chunk, d))
+        keep = x[_in_region(x, v)][:total - have]
+        keep /= np.linalg.norm(keep, axis=1)[:, None]
+        out[have:have + keep.shape[0]] = keep
+        have += keep.shape[0]
     return out
 
 
@@ -137,7 +171,7 @@ def mc_max_margin_tail(
         raise ValueError(f"level must be in [0, 1], got {level}")
     if m < 1 or trials < 1:
         raise ValueError("m and trials must be positive")
-    u, v = _disagreement_frame(d, theta)
+    v = _disagreement_frame(d, theta)
     if case == 1:
         threshold = level * math.sin(theta / 2.0)
         bound = math.exp(-m * (1.0 - level * level) ** (d / 2.0 - 1.0) / 2.0)
@@ -146,8 +180,8 @@ def mc_max_margin_tail(
         bound = math.exp(-m * (level / 2.0) ** (d / 2.0) / 2.0)
     else:
         raise ValueError(f"case must be 1 or 2, got {case}")
-    samples = _conditional_disagreement_samples(m * trials, d, theta, u, v, rng.gen)
-    best = np.abs(samples @ u).reshape(trials, m).max(axis=1)
+    samples = _conditional_disagreement_samples(m * trials, d, theta, v, rng.gen)
+    best = np.abs(samples[:, 1]).reshape(trials, m).max(axis=1)
     emp = float(np.mean(best <= threshold))
     se = math.sqrt(emp * (1.0 - emp) / trials)
     return TailCheckResult(emp, bound, se, trials, {"threshold": threshold, "case": case})
@@ -173,7 +207,9 @@ def mc_best_mistake_margin(
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    u, v = _disagreement_frame(d, theta)
+    if n < 1 or trials < 1:
+        raise ValueError("n and trials must be positive")
+    v = _disagreement_frame(d, theta)
     ratio = 4.0 * math.pi * s / (n * theta)
     if ratio > 1.0 + 1e-12:
         raise RegimeError(
@@ -193,19 +229,14 @@ def mc_best_mistake_margin(
     else:
         raise ValueError(f"case must be 1 or 2, got {case}")
     bound = 2.0 * math.exp(-s / 2.0)
-    gen = rng.gen
     failures = 0
-    block = max(1, min(trials, 2_000_000 // max(1, n)))
-    done = 0
-    while done < trials:
-        b = min(block, trials - done)
-        x = gen.normal(size=(b * n, d))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        margins = np.abs(x @ u).reshape(b, n)
-        in_region = ((x @ u) * (x @ v) <= 0.0).reshape(b, n)
-        best = np.where(in_region, margins, 0.0).max(axis=1)
-        failures += int(np.count_nonzero(best <= threshold))
-        done += b
+    for _, k, x in _normal_blocks(rng.gen, n, d, trials):
+        # Margin |u . x| / |x| of the in-region points, 0 elsewhere.
+        at = np.flatnonzero(_in_region(x, v))
+        inside = x[at]
+        margins = np.zeros(k * n)
+        margins[at] = np.abs(inside[:, 1]) / np.linalg.norm(inside, axis=1)
+        failures += int(np.count_nonzero(margins.reshape(k, n).max(axis=1) <= threshold))
     emp = failures / trials
     se = math.sqrt(emp * (1.0 - emp) / trials)
     return TailCheckResult(emp, bound, se, trials, {"threshold": threshold, "case": case, "c": c})
@@ -251,6 +282,8 @@ def simulate_superlinear(
     """
     if p_decay < 2.0 / 3.0 - 1e-12 or p_decay > 1.0:
         raise ValueError(f"p_decay must be in [2/3, 1], got {p_decay}")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     start = M if xi0 is None else xi0
     if start > M or start < 0:
         raise ValueError("need 0 <= xi0 <= M")

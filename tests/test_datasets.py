@@ -295,6 +295,18 @@ def test_jsonl_malformed_label(tmp_path):
         assert err.value.line_number == 3, record
 
 
+def test_jsonl_record_too_large_for_a_float(tmp_path):
+    path = tmp_path / "huge.jsonl"
+    path.write_text(
+        '{"d": 2, "n": 2, "ground_truth": null}\n'
+        '{"x": [1.0, 0.0], "y": 1}\n'
+        '{"x": [1' + '0' * 400 + ', 0], "y": 1}\n'
+    )
+    with pytest.raises(MalformedRecordError) as err:
+        load_jsonl(str(path))
+    assert err.value.line_number == 3
+
+
 def test_jsonl_truncated_file(tmp_path):
     path = tmp_path / "trunc.jsonl"
     path.write_text('{"d": 2, "n": 5, "ground_truth": null}\n{"x": [1.0, 0.0], "y": 1}\n')

@@ -1,6 +1,7 @@
 """Experiment grids, scaling fits, the verification battery, and the CLI."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -35,6 +36,10 @@ def test_config_validation():
         ExperimentConfig(mode="arbitrary", eps=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(mode="baseline", order="sorted")
+    for name, value in [("c_prime", 0.0), ("c_prime", math.inf), ("c_init", -1.0),
+                        ("c_init", math.nan), ("c_hat", 0.0), ("c_hat", 1.5)]:
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(mode="sphere", **{name: value})
     # eps = 1.0 is the explicit "no coverage requirement" setting
     assert ExperimentConfig(mode="arbitrary", eps=1.0).eps == 1.0
 
@@ -149,6 +154,12 @@ def test_report_json_is_deterministic_without_runtime():
     assert "runtime" not in a
 
 
+# sha256 of json.dumps(run_verify(0), sort_keys=True), computed before the
+# blocked Monte-Carlo kernels and the per-core checks: a speed change must
+# not move a single result byte.
+VERIFY_SEED0_DIGEST = "81d8b9cc8f90c0b06122fb59afac908fd6582f5e37804a77daa2f1af97bb6482"
+
+
 def test_run_experiment_verify_mode():
     report = run_experiment(ExperimentConfig(mode="verify"))
     assert not report.rows and not report.cells and not report.fits
@@ -156,6 +167,8 @@ def test_run_experiment_verify_mode():
     for check in report.oracle_results:
         assert check["passed"], check["name"]
         assert check["empirical"] <= check["bound"] + 3.0 * check["std_err"] + 1e-12
+    text = json.dumps(report.oracle_results, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_SEED0_DIGEST
 
 
 # ------------------------------------------------------------------------ CLI
@@ -298,10 +311,14 @@ def test_cli_report_happy_path(tmp_path, capsys):
     assert "mean mistakes" in capsys.readouterr().out
 
 
-def test_cli_error_exit_code(capsys):
+def test_cli_error_exit_code(tmp_path, capsys):
     assert main(["run-sphere", "--data", "/nonexistent/nowhere.jsonl"]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["run-sphere", "--n", "100", "--d", "3", "--c-init", "-1"]) == 1
+    assert "c_init must be positive" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "sphere", "d_grid": [3], "n_grid": [100], "c_init": -1}))
+    assert main(["report", "--config", str(cfg)]) == 1
     assert "c_init must be positive" in capsys.readouterr().err
 
 

@@ -70,6 +70,49 @@ def test_disagreement_mass_tail_mode():
     assert res.passed
 
 
+def test_disagreement_mass_rejects_empty_trials():
+    with pytest.raises(ValueError, match="n must be positive"):
+        mc_disagreement_mass(3, 0.5, 0, 200, vrng())
+
+
+def _frame(d, theta):
+    """The parent's unit pair: u = e_1 and v at angle theta from it."""
+    u, v = np.zeros(d), np.zeros(d)
+    u[1] = 1.0
+    v[0], v[1] = -math.sin(theta), math.cos(theta)
+    return u, v
+
+
+def _reference_disagreement_fractions(d, theta, n, trials, rng):
+    """Per-trial hit fractions as one draw, normalisation and two matvecs per trial."""
+    u, v = _frame(d, theta)
+    fractions = np.empty(trials)
+    for t in range(trials):
+        x = rng.gen.normal(size=(n, d))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        fractions[t] = ((x @ u) * (x @ v) <= 0.0).mean()
+    return fractions
+
+
+@pytest.mark.parametrize("check", ["mean", "tail"])
+def test_disagreement_mass_matches_per_trial_reference(check):
+    # 3000 points a trial: 87 trials a block, so 200 trials span three blocks
+    d, theta, n, trials = 3, math.pi / 4, 3000, 200
+    fast = mc_disagreement_mass(d, theta, n, trials, vrng(8), check=check, tail_delta=0.3)
+    fractions = _reference_disagreement_fractions(d, theta, n, trials, vrng(8))
+    p = theta / math.pi
+    if check == "mean":
+        want = TailCheckResult(abs(float(fractions.mean()) - p), 0.0,
+                               float(fractions.std(ddof=1)) / math.sqrt(trials), trials,
+                               {"target": p, "mean": float(fractions.mean())})
+    else:
+        threshold = n * p + math.sqrt(2.0 * p * n * math.log(1.0 / 0.3))
+        want = TailCheckResult(float(np.mean(fractions * n > threshold)), 0.3,
+                               math.sqrt(0.3 * 0.7 / trials), trials, {"threshold": threshold})
+    assert fast.empirical > 0.0
+    assert fast == want
+
+
 # ------------------------------------------------------- conditioned max margin
 
 def test_max_margin_validation():
@@ -114,6 +157,34 @@ def test_best_mistake_margin_validation():
         mc_best_mistake_margin(4, 0.5, 100_000, 1.0, 1, 200, vrng(), c=3.0)
 
 
+def test_best_mistake_margin_rejects_empty_trials():
+    with pytest.raises(ValueError):
+        mc_best_mistake_margin(4, 0.5, 0, 1.0, 2, 200, vrng())
+    with pytest.raises(ValueError):
+        mc_best_mistake_margin(4, 0.5, 200, 1.0, 2, 0, vrng())
+
+
+def test_best_mistake_margin_matches_per_trial_reference():
+    # 200 points a trial: 1310 trials a block, so 1500 trials span two blocks
+    d, theta, n, s, trials = 4, 0.5, 200, 1.0, 1500
+    fast = mc_best_mistake_margin(d, theta, n, s, 2, trials, vrng(5))
+
+    u, v = _frame(d, theta)
+    gen = vrng(5).gen
+    failures = 0
+    threshold = (1.0 - (4.0 * math.pi * s / (n * theta)) ** (2.0 / d)) * math.sin(theta)
+    for _ in range(trials):
+        x = gen.normal(size=(n, d))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        in_region = (x @ u) * (x @ v) <= 0.0
+        failures += int(np.where(in_region, np.abs(x @ u), 0.0).max() <= threshold)
+    emp = failures / trials
+    want = TailCheckResult(emp, 2.0 * math.exp(-s / 2.0), math.sqrt(emp * (1.0 - emp) / trials),
+                           trials, {"threshold": threshold, "case": 2, "c": None})
+    assert fast.empirical > 0.0
+    assert fast == want
+
+
 def test_best_mistake_margin_bound_value():
     res = mc_best_mistake_margin(4, 0.5, 10_000, 8.0, 2, 50, vrng(1))
     assert res.bound == pytest.approx(2.0 * math.exp(-4.0))
@@ -155,6 +226,8 @@ def test_superlinear_validation():
         simulate_superlinear(0.5, 0.01, 1.0, 0.5, 0.1, 200, vrng())
     with pytest.raises(ValueError):
         simulate_superlinear(0.5, 0.01, 1.0, 0.8, 0.1, 200, vrng(), xi0=2.0)
+    with pytest.raises(ValueError, match="trials must be positive"):
+        simulate_superlinear(0.5, 0.01, 1.0, 0.8, 0.1, 0, vrng())
 
 
 def test_superlinear_simulation_within_delta():

@@ -25,6 +25,8 @@ _NUMBER_TYPES = frozenset((int, float))
 # rate is below about 1e-4 exhausts them and the parameters are rejected
 # as infeasible, instead of looping forever.
 _CLUSTER_MAX_DRAWS = 100_000
+# Rows that save_jsonl turns into Python floats at a time.
+_SAVE_BLOCK = 1 << 12
 
 
 @dataclass
@@ -229,7 +231,9 @@ def save_jsonl(ds: LabeledDataset, path: str) -> None:
     """Write header line {"d","n","ground_truth"} then one {"x","y"} per point.
 
     Floats go through repr (shortest round-trip form), so load_jsonl
-    reconstructs bit-identical coordinates.
+    reconstructs bit-identical coordinates. The points are finite, so each
+    line is the text json.dumps writes for its record; rows are formatted
+    _SAVE_BLOCK at a time to keep the Python objects few.
     """
     with open(path, "w", encoding="utf-8") as fh:
         header = {
@@ -238,48 +242,69 @@ def save_jsonl(ds: LabeledDataset, path: str) -> None:
             "ground_truth": None if ds.ground_truth is None else [float(v) for v in ds.ground_truth],
         }
         fh.write(json.dumps(header) + "\n")
-        for x, y in zip(ds.points, ds.labels):
-            fh.write(json.dumps({"x": [float(v) for v in x], "y": int(y)}) + "\n")
+        for start in range(0, ds.n, _SAVE_BLOCK):
+            rows = ds.points[start:start + _SAVE_BLOCK].tolist()
+            labels = ds.labels[start:start + _SAVE_BLOCK].tolist()
+            fh.writelines(
+                '{"x": [' + ", ".join(map(float.__repr__, x)) + '], "y": ' + str(y) + "}\n"
+                for x, y in zip(rows, labels))
 
 
 def load_jsonl(path: str) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise MalformedRecordError(1, "empty file, expected a header")
-    try:
-        header = json.loads(lines[0])
-        d, n, truth = header["d"], header["n"], header.get("ground_truth")
-        # Exact types, as for the records: int() would accept 2.9, "2" and true.
-        if type(d) is not int or d < 1:
-            raise ValueError(f"d must be an integer >= 1, got {d!r}")
-        if type(n) is not int or n < 0:
-            raise ValueError(f"n must be an integer >= 0, got {n!r}")
-        if truth is not None and not (isinstance(truth, list) and _NUMBER_TYPES.issuperset(map(type, truth))):
-            raise ValueError("ground_truth must be null or a list of numbers")
-        gt = None if truth is None else as_vector(truth, d)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedRecordError(1, f"bad header: {exc}") from None
-    if len(lines) - 1 != n:
-        raise MalformedRecordError(len(lines), f"header says n={n} but file has {len(lines) - 1} records")
-    points = np.empty((n, d))
-    labels = np.empty(n, dtype=np.int64)
-    for i, line in enumerate(lines[1:], start=2):
+    """Read a file written by save_jsonl, checking every line.
+
+    Records are read one line at a time. A header whose n records could
+    not fit in the rest of the file is rejected on line 1, before the
+    arrays are allocated; a pipe has no size to check.
+    """
+    with open(path, "rb") as fh:
+        size = None
+        if fh.seekable():
+            size = fh.seek(0, 2)
+            fh.seek(0)
+        first = fh.readline()
+        if not first:
+            raise MalformedRecordError(1, "empty file, expected a header")
         try:
-            rec = json.loads(line)
-            x, y = rec["x"], rec["y"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise MalformedRecordError(i, f"bad record: {exc}") from None
-        # Exact types: numpy would turn "0.6" and true into numbers on assignment.
-        if not isinstance(x, list) or len(x) != d or not _NUMBER_TYPES.issuperset(map(type, x)):
-            raise MalformedRecordError(i, f"x must be a list of {d} numbers")
-        if type(y) is not int or y not in (-1, 1):
-            raise MalformedRecordError(i, f"label must be the integer -1 or +1, got {y!r}")
-        try:
-            points[i - 2] = x
-        except OverflowError:
-            raise MalformedRecordError(i, "x holds an integer too large for a float") from None
-        labels[i - 2] = y
+            header = json.loads(first.decode())
+            d, n, truth = header["d"], header["n"], header.get("ground_truth")
+            # Exact types, as for the records: int() would accept 2.9, "2" and true.
+            if type(d) is not int or d < 1:
+                raise ValueError(f"d must be an integer >= 1, got {d!r}")
+            if type(n) is not int or n < 0:
+                raise ValueError(f"n must be an integer >= 0, got {n!r}")
+            # The shortest record line, '{"x":[0,0],"y":1}' at d=2, has 2d + 13 bytes.
+            if size is not None and n * (2 * d + 12) > size - len(first):
+                raise ValueError(f"n={n} records of dimension {d} cannot fit in the "
+                                 f"{size - len(first)} bytes after the header")
+            if truth is not None and not (isinstance(truth, list) and _NUMBER_TYPES.issuperset(map(type, truth))):
+                raise ValueError("ground_truth must be null or a list of numbers")
+            gt = None if truth is None else as_vector(truth, d)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MalformedRecordError(1, f"bad header: {exc}") from None
+        points = np.empty((n, d))
+        labels = np.empty(n, dtype=np.int64)
+        i = 1
+        for i, line in enumerate(fh, start=2):
+            if i - 2 == n:
+                raise MalformedRecordError(i, f"header says n={n} but the file has more records")
+            try:
+                rec = json.loads(line.decode())
+                x, y = rec["x"], rec["y"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise MalformedRecordError(i, f"bad record: {exc}") from None
+            # Exact types: numpy would turn "0.6" and true into numbers on assignment.
+            if not isinstance(x, list) or len(x) != d or not _NUMBER_TYPES.issuperset(map(type, x)):
+                raise MalformedRecordError(i, f"x must be a list of {d} numbers")
+            if type(y) is not int or y not in (-1, 1):
+                raise MalformedRecordError(i, f"label must be the integer -1 or +1, got {y!r}")
+            try:
+                points[i - 2] = x
+            except OverflowError:
+                raise MalformedRecordError(i, "x holds an integer too large for a float") from None
+            labels[i - 2] = y
+    if i - 1 != n:
+        raise MalformedRecordError(i, f"header says n={n} but file has {i - 1} records")
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))  # no (n, d) temporary
     off_sphere = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
     if off_sphere.size:

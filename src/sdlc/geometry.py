@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 UNIT_TOL = 1e-9
+# Rows per block when sample_sphere_batch takes row norms: bounds the
+# (block, d) temporary of np.linalg.norm to a few MB at any m.
+_NORM_BLOCK = 1 << 14
 
 # SplitMix64 constants, used to derive child stream ids without collisions.
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -82,19 +85,29 @@ def sample_sphere(d: int, rng: RngStream) -> np.ndarray:
 
 
 def sample_sphere_batch(m: int, d: int, rng: RngStream) -> np.ndarray:
-    """Draw m uniform sphere points as an (m, d) array."""
+    """Draw m uniform sphere points as an (m, d) array.
+
+    The gaussian draw is normalised in place and its row norms are taken
+    _NORM_BLOCK rows at a time, so the only (m, d) array is the result.
+    Each row's norm is the same reduction in any block, so the output is
+    bit-identical to ``x / np.linalg.norm(x, axis=1)[:, None]``.
+    """
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
     if m < 0:
         raise ValueError("sample count must be nonnegative")
     x = rng.gen.normal(size=(m, d))
-    norms = np.linalg.norm(x, axis=1)
+    norms = np.empty(m)
+    for start in range(0, m, _NORM_BLOCK):
+        stop = start + _NORM_BLOCK
+        norms[start:stop] = np.linalg.norm(x[start:stop], axis=1)
     bad = norms <= 1e-150
     while np.any(bad):  # pragma: no cover - astronomically rare
         x[bad] = rng.gen.normal(size=(int(bad.sum()), d))
         norms[bad] = np.linalg.norm(x[bad], axis=1)
         bad = norms <= 1e-150
-    return x / norms[:, None]
+    x /= norms[:, None]
+    return x
 
 
 def angle(u: np.ndarray, v: np.ndarray) -> float:

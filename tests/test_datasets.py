@@ -1,6 +1,7 @@
 """Dataset generators, bucketing, and file round-trips."""
 
 import hashlib
+import json
 import math
 import time
 
@@ -268,6 +269,21 @@ def test_jsonl_round_trip_without_truth(tmp_path):
     assert np.array_equal(back.points, ds.points)
 
 
+@pytest.mark.parametrize("ds", [
+    gen_uniform_sphere(50, 1, RngStream(6)),
+    gen_uniform_sphere(50, 10, RngStream(7)),
+    LabeledDataset(np.array([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8]]), [1, -1, 1]),
+], ids=["d1", "d10", "no_truth"])
+def test_jsonl_bytes_match_json_dumps(tmp_path, ds):
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(ds, str(path))
+    truth = None if ds.ground_truth is None else [float(v) for v in ds.ground_truth]
+    want = json.dumps({"d": ds.d, "n": ds.n, "ground_truth": truth}) + "\n" + "".join(
+        json.dumps({"x": [float(v) for v in x], "y": int(y)}) + "\n"
+        for x, y in zip(ds.points, ds.labels))
+    assert path.read_bytes() == want.encode()
+
+
 def test_jsonl_header_missing_truth_key(tmp_path):
     path = tmp_path / "h.jsonl"
     path.write_text('{"d": 2, "n": 1}\n{"x": [1.0, 0.0], "y": 1}\n')
@@ -314,6 +330,21 @@ def test_jsonl_truncated_file(tmp_path):
         load_jsonl(str(path))
 
 
+def test_jsonl_record_count_mismatch(tmp_path):
+    path = tmp_path / "count.jsonl"
+    record = '{"x": [0.6000000000000000, 0.8000000000000000], "y": 1}\n'
+    # Too many: the first record beyond n is rejected on its own line.
+    path.write_text('{"d": 2, "n": 1, "ground_truth": null}\n' + 4 * record)
+    with pytest.raises(MalformedRecordError) as err:
+        load_jsonl(str(path))
+    assert err.value.line_number == 3
+    # Too few: the file ends on line 2.
+    path.write_text('{"d": 2, "n": 2, "ground_truth": null}\n' + record)
+    with pytest.raises(MalformedRecordError) as err:
+        load_jsonl(str(path))
+    assert err.value.line_number == 2
+
+
 def test_jsonl_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -334,6 +365,7 @@ def test_jsonl_bad_dimension(tmp_path):
         '{"d": 2, "n": true, "ground_truth": null}',
         '{"d": 2, "n": 1.0, "ground_truth": null}',
         '{"d": 2, "n": -1, "ground_truth": null}',
+        '{"d": 2, "n": 1000000000000}',  # 16 TB of floats; the file holds one record
         '{"d": 2, "ground_truth": null}',
         '{"d": 2, "n": 1, "ground_truth": [1.0]}',
         '{"d": 2, "n": 1, "ground_truth": [1.0, 0.0, 0.0]}',

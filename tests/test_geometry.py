@@ -1,12 +1,15 @@
 """Vector geometry, sphere sampling, and the splittable RNG contract."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sdlc.datasets import gen_uniform_sphere
 from sdlc.geometry import (
     RngStream,
     angle,
@@ -97,6 +100,31 @@ def test_batch_shape_and_empty():
     assert sample_sphere_batch(7, 4, RngStream(0)).shape == (7, 4)
     with pytest.raises(ValueError):
         sample_sphere_batch(-1, 4, RngStream(0))
+
+
+# sha256 of the points' bytes from the unblocked, out-of-place normalisation
+# x / np.linalg.norm(x, axis=1)[:, None]. The shapes end inside, and on, a block edge.
+@pytest.mark.parametrize("m, d, digest", [
+    (2**16 + 7, 10, "8ad6ed53f12e7bc85630d5b849e09169005fbbca7dd0bed866da0c5e1e9ebe23"),
+    (2**17, 3, "53d1462132f9a96944966deecb9eedf615954cc86b20b7fba63edc29e8a7c02d"),
+    (5, 1, "8af9035ee68374151fc4053cd6c033803b14f164d781fe2d838edc96fe2817bd"),
+    (0, 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+])
+def test_batch_is_bit_identical_to_pinned_draws(m, d, digest):
+    x = sample_sphere_batch(m, d, RngStream(11, 3))
+    assert x.shape == (m, d)
+    assert hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest() == digest
+
+
+def test_uniform_generation_peak_memory():
+    # A full (m, d) temporary or a second output would push the peak to about 2.2x.
+    tracemalloc.start()
+    try:
+        ds = gen_uniform_sphere(200_000, 10, RngStream(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ds.points.nbytes
 
 
 # ---------------------------------------------------------------- validation

@@ -210,6 +210,19 @@ def test_module_entry_point_runs_with_the_bare_package(tmp_path):
     assert load_jsonl(str(out)).n == 50
 
 
+def test_cli_import_stays_light():
+    # Startup time of every CLI call and bench probe: these modules belong
+    # inside the functions that need them, or in the tests.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    heavy = ("concurrent.futures", "logging", "tracemalloc", "scipy", "hypothesis")
+    code = ("import sys, sdlc.cli, sdlc.harness; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def test_cli_generate_requires_out():
     assert main(["generate", "--n", "10", "--d", "2"]) == 1
 
@@ -320,6 +333,10 @@ def test_cli_error_exit_code(tmp_path, capsys):
     cfg.write_text(json.dumps({"mode": "sphere", "d_grid": [3], "n_grid": [100], "c_init": -1}))
     assert main(["report", "--config", str(cfg)]) == 1
     assert "c_init must be positive" in capsys.readouterr().err
+    data = tmp_path / "huge_n.jsonl"
+    data.write_text('{"d": 2, "n": 1000000000000}\n{"x": [1.0, 0.0], "y": 1}\n')
+    assert main(["run-sphere", "--data", str(data)]) == 1
+    assert "line 1: bad header" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_config(tmp_path, capsys):

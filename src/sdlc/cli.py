@@ -27,6 +27,12 @@ from .harness import (
 )
 from .sphere import make_schedule, run_sphere
 
+# Records that _write_json formats at a time.
+_RECORD_BLOCK = 1 << 12
+# Stands in for the records in the encoded payload until they are written.
+_RECORDS_MARK = "\u0000records\u0000"
+_INF = float("inf")
+
 
 def _load_config(path: str | None) -> dict:
     if not path:
@@ -56,11 +62,49 @@ def _dataset_from_args(args, config: dict):
     return make_dataset(family, n, d, params, seed)
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    if path:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _write_json(path: str | None, payload: dict, records=None) -> None:
+    """Write payload as json.dump(payload, fh, indent=2, sort_keys=True) does, and a newline.
+
+    With `records`, a Transcript, payload["transcript"]["records"] is its
+    records: the text json.dump writes for one {"index", "margin", "phase",
+    "prediction", "truth"} object per prediction, formatted from the
+    transcript's columns _RECORD_BLOCK rows at a time instead.
+    """
+    if not path:
+        return
+    if records is not None:
+        payload = {**payload, "transcript": {**payload["transcript"], "records": _RECORDS_MARK}}
+    head, mark, tail = json.dumps(payload, indent=2, sort_keys=True).partition(json.dumps(_RECORDS_MARK))
+    with open(path, "w") as fh:
+        fh.write(head)
+        if mark:
+            line = head[head.rfind("\n") + 1:]
+            _write_records(fh, records, " " * (len(line) - len(line.lstrip(" "))))
+        fh.write(tail + "\n")
+
+
+def _write_records(fh, transcript, outer: str) -> None:
+    """The records list as json.dump writes it when its closing bracket is at indent `outer`."""
+    item, key = outer + "  ", outer + "    "
+    sep = ""
+    fh.write("[")
+    for idx, preds, truths, margins, phase in transcript.columns():
+        phase_text = json.dumps(phase).replace("{", "{{").replace("}", "}}")
+        fields = (("index", "{}"), ("margin", "{}"), ("phase", phase_text),
+                  ("prediction", "{}"), ("truth", "{}"))
+        template = ("\n" + item + "{{\n" + ",\n".join(f'{key}"{name}": {value}' for name, value in fields)
+                    + "\n" + item + "}}")
+        for start in range(0, idx.size, _RECORD_BLOCK):
+            block = slice(start, start + _RECORD_BLOCK)
+            m = margins[block]
+            # str(float) is float.__repr__, as json writes a finite float;
+            # a block with NaN or an infinity takes json's own spelling.
+            finite = -_INF < m.min() and m.max() < _INF
+            margin_text = m.tolist() if finite else map(json.dumps, m.tolist())
+            fh.write(sep + ",".join(map(template.format, idx[block].tolist(), margin_text,
+                                        preds[block].tolist(), truths[block].tolist())))
+            sep = ","
+    fh.write(f"\n{outer}]" if sep else "]")
 
 
 def _cmd_generate(args) -> int:
@@ -89,8 +133,9 @@ def _cmd_run_sphere(args) -> int:
     payload = {"mode": "sphere", "seed": seed,
                "schedule": dataclasses.asdict(schedule),
                "summary": summary,
-               "transcript": res.transcript.to_json_dict(include_records=args.records)}
-    _write_json(_pick(args.out, config, "out", None), payload)
+               "transcript": res.transcript.to_json_dict()}
+    _write_json(_pick(args.out, config, "out", None), payload,
+                res.transcript if args.records else None)
     return 0
 
 
@@ -108,8 +153,9 @@ def _cmd_run_arbitrary(args) -> int:
                "coverage": res.coverage, "rounds_used": res.rounds_used,
                "attempts": res.attempts, "partial": res.partial,
                "summary": res.transcript.summary(),
-               "transcript": res.transcript.to_json_dict(include_records=args.records)}
-    _write_json(_pick(args.out, config, "out", None), payload)
+               "transcript": res.transcript.to_json_dict()}
+    _write_json(_pick(args.out, config, "out", None), payload,
+                res.transcript if args.records else None)
     return 2 if res.partial else 0
 
 
@@ -122,8 +168,9 @@ def _cmd_baseline(args) -> int:
     print(f"n={ds.n} d={ds.d} order={order} mistakes={transcript.mistakes}")
     payload = {"mode": "baseline", "order": order, "seed": seed,
                "summary": transcript.summary(),
-               "transcript": transcript.to_json_dict(include_records=args.records)}
-    _write_json(_pick(args.out, config, "out", None), payload)
+               "transcript": transcript.to_json_dict()}
+    _write_json(_pick(args.out, config, "out", None), payload,
+                transcript if args.records else None)
     return 0
 
 

@@ -27,6 +27,8 @@ _NUMBER_TYPES = frozenset((int, float))
 _CLUSTER_MAX_DRAWS = 100_000
 # Rows that save_jsonl turns into Python floats at a time.
 _SAVE_BLOCK = 1 << 12
+# Rows that LabeledDataset checks at a time.
+_CHECK_BLOCK = 1 << 14
 
 
 @dataclass
@@ -44,9 +46,11 @@ class LabeledDataset:
             raise ValueError(f"points must be a 2-D array, got shape {self.points.shape}")
         if self.labels.shape != (self.points.shape[0],):
             raise ValueError("labels must be a 1-D array matching the point count")
-        if not np.all(np.isfinite(self.points)):
+        # Checked _CHECK_BLOCK rows at a time, so no check makes an n-sized temporary.
+        blocks = [slice(start, start + _CHECK_BLOCK) for start in range(0, self.n, _CHECK_BLOCK)]
+        if not all(np.isfinite(self.points[b]).all() for b in blocks):
             raise ValueError("points contain non-finite coordinates")
-        if not np.all(np.isin(self.labels, (-1, 1))):
+        if not all(((self.labels[b] == 1) | (self.labels[b] == -1)).all() for b in blocks):
             raise ValueError("labels must be -1 or +1")
         if self.ground_truth is not None:
             self.ground_truth = as_vector(self.ground_truth, self.d)
@@ -164,11 +168,14 @@ def _gen_subspace_degenerate(n: int, d: int, params: dict, rng: RngStream) -> La
     basis = _orthonormal_basis(d, k, rng.child(2))
     m = int(round(rho * n))
     prng = rng.child(3)
-    inside = sample_sphere_batch(m, k, prng) @ basis.T
-    outside = sample_sphere_batch(n - m, d, prng)
-    points = np.vstack([inside, outside])
-    perm = rng.child(4).gen.permutation(n)
-    points = points[perm]
+    # The rows of [inside; outside] in the order of a child(4) permutation
+    # perm: each part is scattered straight to its rows dest = perm^-1,
+    # with no stacked copy and no gather.
+    dest = np.empty(n, dtype=np.int64)
+    dest[rng.child(4).gen.permutation(n)] = np.arange(n)
+    points = np.empty((n, d))
+    points[dest[:m]] = sample_sphere_batch(m, k, prng) @ basis.T
+    points[dest[m:]] = sample_sphere_batch(n - m, d, prng)
     return LabeledDataset(points, predict_labels(points, w_star), w_star)
 
 

@@ -47,13 +47,11 @@ class Transcript:
         idx = np.array(indices, dtype=np.int64)
         if idx.size == 0:
             return
-        self._chunks.append((
-            idx,
-            np.array(predictions, dtype=np.int8),
-            np.array(truths, dtype=np.int8),
-            np.array(margins, dtype=np.float64),
-            phase,
-        ))
+        cols = (idx, np.array(predictions, dtype=np.int8), np.array(truths, dtype=np.int8),
+                np.array(margins, dtype=np.float64))
+        for col in cols:
+            col.flags.writeable = False
+        self._chunks.append((*cols, phase))
 
     def __len__(self) -> int:
         return sum(c[0].size for c in self._chunks)
@@ -77,12 +75,18 @@ class Transcript:
                 seen.append(c[4])
         return seen
 
+    def columns(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str]]:
+        """The logged chunks in order, as (indices, predictions, truths, margins, phase).
+
+        The arrays are the log's own, read-only: int64 indices, int8
+        predictions and truths, float64 margins, one phase per chunk.
+        """
+        yield from self._chunks
+
     def records(self) -> Iterator[PredictionRecord]:
-        for idx, preds, truths, margins, phase in self._chunks:
-            for i in range(idx.size):
-                yield PredictionRecord(
-                    int(idx[i]), int(preds[i]), int(truths[i]), float(margins[i]), phase,
-                )
+        for idx, preds, truths, margins, phase in self.columns():
+            for i, p, t, m in zip(idx.tolist(), preds.tolist(), truths.tolist(), margins.tolist()):
+                yield PredictionRecord(i, p, t, m, phase)
 
     def summary(self) -> dict:
         return {
@@ -91,15 +95,9 @@ class Transcript:
             "mistakes_by_phase": {p: self.mistakes_in_phase(p) for p in self.phases()},
         }
 
-    def to_json_dict(self, include_records: bool = True) -> dict:
-        out = {"summary": self.summary()}
-        if include_records:
-            out["records"] = [
-                {"index": r.index, "prediction": r.prediction, "truth": r.truth,
-                 "margin": r.margin, "phase": r.phase}
-                for r in self.records()
-            ]
-        return out
+    def to_json_dict(self) -> dict:
+        """The summary as a JSON object; records are written from columns()."""
+        return {"summary": self.summary()}
 
 
 class LabelOracle:

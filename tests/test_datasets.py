@@ -41,6 +41,24 @@ def test_dataset_validation():
         LabeledDataset(np.zeros(4), [1, 1, 1, 1])
 
 
+@pytest.mark.parametrize("n", [2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+def test_dataset_checks_reach_every_row(n):
+    # The checks run in row blocks; a bad last row is still found, and
+    # bad points are reported before bad labels.
+    pts = np.tile([1.0, 0.0], (n, 1))
+    labels = np.ones(n, dtype=np.int64)
+    assert LabeledDataset(pts, labels).n == n
+    pts[-1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        LabeledDataset(pts, labels)
+    labels[-1] = 0
+    with pytest.raises(ValueError, match="non-finite"):
+        LabeledDataset(pts, labels)
+    pts[-1, 1] = 0.0
+    with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+        LabeledDataset(pts, labels)
+
+
 # ------------------------------------------------------------ uniform sphere
 
 def test_gen_uniform_rejects_bad_sizes():
@@ -93,6 +111,36 @@ def test_subspace_degenerate_rank_one():
     u = ds.points[0]
     dots = ds.points @ u
     assert np.all(np.abs(np.abs(dots) - 1.0) <= 1e-9)
+
+
+@pytest.mark.parametrize("n, d, params, seed, digest", [
+    (200_000, 10, {}, 5, "75a79f1c9cb094c8ad0d386ebb909c09264ce6a2d443ef97f6553d53c22c80f3"),
+    (301, 6, {"rho": 0.0}, 13, "a2e31b44f43e6964cd9dee434386120b5034c458b15ba7171be8818246cb5a6e"),
+    (301, 6, {"rho": 1.0, "k": 2}, 13, "14cec44c5c87f30a80c00b0939e8d9f2399e24b0d403252d0ad61a8258669978"),
+    (7, 3, {"rho": 0.5, "k": 3}, 2, "ae76a3d78ea7081fc3e9f02229705e26508f9c1723d8992fd67e69666394420a"),
+])
+def test_subspace_degenerate_draws_are_pinned(n, d, params, seed, digest):
+    # Scattering the two parts through the inverse permutation gives the
+    # bytes of stacking them and gathering the permuted rows.
+    ds = gen_arbitrary("subspace_degenerate", n, d, params, RngStream(seed))
+    h = hashlib.sha256()
+    h.update(ds.points.tobytes())
+    h.update(ds.labels.astype("i1").tobytes())
+    h.update(ds.ground_truth.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_subspace_degenerate_peak_memory():
+    import tracemalloc
+
+    # A stacked copy of the two parts and a gathered one pushed this to 3.15x.
+    tracemalloc.start()
+    try:
+        ds = gen_arbitrary("subspace_degenerate", 200_000, 10, {}, RngStream(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * ds.points.nbytes
 
 
 def test_low_margin_floor():

@@ -117,14 +117,15 @@ def test_batch_is_bit_identical_to_pinned_draws(m, d, digest):
 
 
 def test_uniform_generation_peak_memory():
-    # A full (m, d) temporary or a second output would push the peak to about 2.2x.
+    # A full (m, d) temporary or a second output would push the peak to about 2.2x,
+    # and n-sized temporaries in the dataset checks to about 1.34x.
     tracemalloc.start()
     try:
         ds = gen_uniform_sphere(200_000, 10, RngStream(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * ds.points.nbytes
+    assert peak <= 1.25 * ds.points.nbytes
 
 
 # ---------------------------------------------------------------- validation

@@ -143,10 +143,14 @@ def test_transcript_bookkeeping():
         "mistakes": 1,
         "mistakes_by_phase": {"a": 1, "b": 0},
     }
-    full = t.to_json_dict()
-    assert len(full["records"]) == 3
-    lean = t.to_json_dict(include_records=False)
-    assert "records" not in lean and lean["summary"]["mistakes"] == 1
+    assert t.to_json_dict() == {"summary": t.summary()}
+    cols = [(i.tolist(), p.tolist(), y.tolist(), m.tolist(), ph) for i, p, y, m, ph in t.columns()]
+    assert cols == [([0, 1], [1, 1], [1, -1], [0.1, 0.2], "a"), ([2], [-1], [-1], [0.3], "b")]
+    assert [(r.index, r.prediction, r.truth, r.margin, r.phase) for r in t.records()] == [
+        (0, 1, 1, 0.1, "a"), (1, 1, -1, 0.2, "a"), (2, -1, -1, 0.3, "b")]
+    idx = next(t.columns())[0]
+    with pytest.raises(ValueError):
+        idx[0] = 5  # the log's own arrays are read-only
 
 
 @pytest.mark.parametrize("entry", ["predict_bulk", "predict_until_mistake"])

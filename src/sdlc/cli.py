@@ -3,11 +3,20 @@
 Subcommands: generate (dataset files), run-sphere / run-arbitrary
 (single self-directed runs), baseline (order-policy comparisons),
 verify (the Monte-Carlo battery), and report (full experiment grids).
-Every subcommand accepts --config with a JSON file of defaults;
-explicit flags win over config values, and config values over the
-field defaults of harness.ExperimentConfig, so a single run and a
-report grid start from the same values. Exit code 0 means success, 2
-means a verification or coverage failure, 1 an execution error.
+
+Every subcommand takes its settings from one merge: a flag if given,
+else the value in the --config JSON file, else the field default of
+harness.ExperimentConfig or, for the single-run keys n, d and seed,
+harness.RUN_KEYS. So a single run and a report grid start from the
+same values. A config file may hold any ExperimentConfig field and n, d
+and seed; each subcommand reads its own (see the README), and every
+value is checked. An unknown key, a mistyped value, or one that fails
+an ExperimentConfig range check exits 1 before any dataset is drawn.
+The three run subcommands go through harness.run_single, as every cell
+of a report does.
+
+Exit code 0 means success, 2 a verification or coverage failure or a
+failed report cell, 1 an execution error or bad input.
 """
 
 from __future__ import annotations
@@ -16,50 +25,47 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Any
 
-from .arbitrary import strong_run
 from .datasets import FAMILIES, load_jsonl, save_jsonl
-from .geometry import RngStream
 from .harness import (
-    MODES, ORDERS, STREAM_LEARNER, ExperimentConfig, make_dataset, run_baseline, run_experiment,
-    run_verify,
+    MODES, ORDERS, RUN_KEYS, ExperimentConfig, make_dataset, run_experiment, run_single, run_verify,
 )
-from .sphere import make_schedule, run_sphere
 
 # Records that _write_json formats at a time.
 _RECORD_BLOCK = 1 << 12
 # Stands in for the records in the encoded payload until they are written.
 _RECORDS_MARK = "\u0000records\u0000"
 _INF = float("inf")
+# Settings a flag can set: the ExperimentConfig fields and the single-run keys.
+_SETTINGS = {f.name for f in dataclasses.fields(ExperimentConfig)} | set(RUN_KEYS)
+# The stdout line of each run mode, filled from its payload fields.
+_RUN_LINES = {
+    "sphere": "n={n} d={d} T={schedule[T]} k={schedule[k]} fallback={schedule[fallback]} "
+              "mistakes={mistakes}",
+    "arbitrary": "n={n} d={d} coverage={coverage:.4f} mistakes={mistakes} rounds={rounds_used} "
+                 "attempts={attempts} partial={partial}",
+    "baseline": "n={n} d={d} order={order} mistakes={mistakes}",
+}
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        loaded = json.load(fh)
-    if not isinstance(loaded, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return loaded
+def _settings(args) -> tuple[ExperimentConfig, dict]:
+    """The subcommand's ExperimentConfig and single-run keys: flags, then --config, then defaults."""
+    merged = {}
+    if args.config:
+        with open(args.config) as fh:
+            merged = json.load(fh)
+        if not isinstance(merged, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+    flags = {k: v for k, v in vars(args).items() if k in _SETTINGS and v is not None}
+    if "family_params" in flags:
+        flags["family_params"] = json.loads(flags["family_params"])
+    return ExperimentConfig.split({**merged, **flags})
 
 
-def _pick(flag_value: Any, config: dict, key: str, default: Any) -> Any:
-    if flag_value is not None:
-        return flag_value
-    return config.get(key, default)
-
-
-def _dataset_from_args(args, config: dict):
-    if getattr(args, "data", None):
+def _dataset(args, cfg: ExperimentConfig, run: dict):
+    if args.data:
         return load_jsonl(args.data)
-    n = int(_pick(args.n, config, "n", 1000))
-    d = int(_pick(args.d, config, "d", 5))
-    family = _pick(getattr(args, "family", None), config, "family", ExperimentConfig.family)
-    raw_params = _pick(getattr(args, "params", None), config, "family_params", {})
-    params = json.loads(raw_params) if isinstance(raw_params, str) else dict(raw_params)
-    seed = int(_pick(args.seed, config, "seed", 0))
-    return make_dataset(family, n, d, params, seed)
+    return make_dataset(cfg.family, run["n"], run["d"], cfg.family_params, run["seed"])
 
 
 def _write_json(path: str | None, payload: dict, records=None) -> None:
@@ -108,96 +114,44 @@ def _write_records(fh, transcript, outer: str) -> None:
 
 
 def _cmd_generate(args) -> int:
-    config = _load_config(args.config)
-    ds = _dataset_from_args(args, config)
-    out = _pick(args.out, config, "out", None)
-    if not out:
+    cfg, run = _settings(args)
+    if not cfg.out:
         raise ValueError("generate needs --out")
-    save_jsonl(ds, out)
-    print(f"wrote {ds.n} points in dimension {ds.d} to {out}")
+    ds = _dataset(args, cfg, run)
+    save_jsonl(ds, cfg.out)
+    print(f"wrote {ds.n} points in dimension {ds.d} to {cfg.out}")
     return 0
 
 
-def _cmd_run_sphere(args) -> int:
-    config = _load_config(args.config)
-    ds = _dataset_from_args(args, config)
-    delta = float(_pick(args.delta, config, "delta", ExperimentConfig.delta))
-    c_prime = float(_pick(args.c_prime, config, "c_prime", ExperimentConfig.c_prime))
-    c_init = float(_pick(args.c_init, config, "c_init", ExperimentConfig.c_init))
-    seed = int(_pick(args.seed, config, "seed", 0))
-    schedule = make_schedule(ds.n, ds.d, delta, c_prime)
-    res = run_sphere(ds, schedule, RngStream(seed, STREAM_LEARNER), c_init)
-    summary = res.transcript.summary()
-    print(f"n={ds.n} d={ds.d} T={schedule.T} k={schedule.k} "
-          f"fallback={schedule.fallback} mistakes={res.mistakes}")
-    payload = {"mode": "sphere", "seed": seed,
-               "schedule": dataclasses.asdict(schedule),
-               "summary": summary,
-               "transcript": res.transcript.to_json_dict()}
-    _write_json(_pick(args.out, config, "out", None), payload,
-                res.transcript if args.records else None)
-    return 0
-
-
-def _cmd_run_arbitrary(args) -> int:
-    config = _load_config(args.config)
-    ds = _dataset_from_args(args, config)
-    eps = float(_pick(args.eps, config, "eps", ExperimentConfig.eps))
-    delta = float(_pick(args.delta, config, "delta", ExperimentConfig.delta))
-    c_hat = float(_pick(args.c_hat, config, "c_hat", ExperimentConfig.c_hat))
-    seed = int(_pick(args.seed, config, "seed", 0))
-    res = strong_run(ds, eps, delta, RngStream(seed, STREAM_LEARNER), c_hat)
-    print(f"n={ds.n} d={ds.d} coverage={res.coverage:.4f} mistakes={res.mistakes} "
-          f"rounds={res.rounds_used} attempts={res.attempts} partial={res.partial}")
-    payload = {"mode": "arbitrary", "seed": seed, "eps": eps, "delta": delta,
-               "coverage": res.coverage, "rounds_used": res.rounds_used,
-               "attempts": res.attempts, "partial": res.partial,
-               "summary": res.transcript.summary(),
-               "transcript": res.transcript.to_json_dict()}
-    _write_json(_pick(args.out, config, "out", None), payload,
-                res.transcript if args.records else None)
-    return 2 if res.partial else 0
-
-
-def _cmd_baseline(args) -> int:
-    config = _load_config(args.config)
-    ds = _dataset_from_args(args, config)
-    order = _pick(args.order, config, "order", ExperimentConfig.order)
-    seed = int(_pick(args.seed, config, "seed", 0))
-    transcript = run_baseline(ds, order, seed)  # also rejects an unknown order from --config
-    print(f"n={ds.n} d={ds.d} order={order} mistakes={transcript.mistakes}")
-    payload = {"mode": "baseline", "order": order, "seed": seed,
-               "summary": transcript.summary(),
-               "transcript": transcript.to_json_dict()}
-    _write_json(_pick(args.out, config, "out", None), payload,
-                transcript if args.records else None)
-    return 0
+def _cmd_run(args) -> int:
+    """run-sphere, run-arbitrary and baseline: one harness.run_single call in the subcommand's mode."""
+    cfg, run = _settings(args)
+    ds = _dataset(args, cfg, run)
+    transcript, fields = run_single(cfg, ds, run["seed"])
+    print(_RUN_LINES[cfg.mode].format(n=ds.n, d=ds.d, mistakes=transcript.mistakes, **fields))
+    payload = {"mode": cfg.mode, "seed": run["seed"], **fields,
+               "summary": transcript.summary(), "transcript": transcript.to_json_dict()}
+    _write_json(cfg.out, payload, transcript if args.records else None)
+    return 2 if fields.get("partial") else 0
 
 
 def _cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_pick(args.seed, config, "seed", 0))
-    results = run_verify(seed)
+    cfg, run = _settings(args)
+    results = run_verify(run["seed"])
     all_pass = all(r["passed"] for r in results)
     width = max(len(r["name"]) for r in results)
     for r in results:
         flag = "pass" if r["passed"] else "FAIL"
         print(f"{r['name']:<{width}}  {flag}  empirical={r['empirical']:.6g} "
               f"bound={r['bound']:.6g} (+3se={3 * r['std_err']:.2g})")
-    _write_json(_pick(args.out, config, "out", None),
-                {"seed": seed, "all_passed": all_pass, "checks": results})
+    _write_json(cfg.out, {"seed": run["seed"], "all_passed": all_pass, "checks": results})
     return 0 if all_pass else 2
 
 
 def _cmd_report(args) -> int:
-    config = _load_config(args.config)
-    if args.mode:
-        config["mode"] = args.mode
-    if args.seed is not None:
-        config["seeds"] = [args.seed]
-    if args.out:
-        config["out"] = args.out
-    cfg = ExperimentConfig.from_dict(config)
+    if args.seed is not None:  # --seed runs the grid on that one seed
+        args.seeds, args.seed = [args.seed], None
+    cfg, _ = _settings(args)
     report = run_experiment(cfg)
     for cell in report.cells:
         if "mean_mistakes" in cell:
@@ -229,11 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, help="number of points to generate")
             p.add_argument("--d", type=int, help="ambient dimension")
             p.add_argument("--family", choices=FAMILIES, help="generated dataset family")
-            p.add_argument("--params", help="JSON object of family parameters")
+            p.add_argument("--params", dest="family_params", help="JSON object of family parameters")
 
     p = sub.add_parser("generate", help="write a dataset JSONL file")
     add_common(p)
-    p.set_defaults(func=_cmd_generate)
+    # generate writes the dataset a run-sphere call with the same settings draws.
+    p.set_defaults(func=_cmd_generate, mode="sphere")
 
     p = sub.add_parser("run-sphere", help="self-directed run on a (near-)uniform dataset")
     add_common(p)
@@ -241,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-prime", dest="c_prime", type=float, help="schedule constant")
     p.add_argument("--c-init", dest="c_init", type=float, help="initialization budget constant")
     p.add_argument("--records", action="store_true", help="include per-prediction records in --out")
-    p.set_defaults(func=_cmd_run_sphere)
+    p.set_defaults(func=_cmd_run, mode="sphere")
 
     p = sub.add_parser("run-arbitrary", help="boosted self-directed run on any dataset")
     add_common(p)
@@ -249,17 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="failure budget")
     p.add_argument("--c-hat", dest="c_hat", type=float, help="weak-run success-rate constant")
     p.add_argument("--records", action="store_true", help="include per-prediction records in --out")
-    p.set_defaults(func=_cmd_run_arbitrary)
+    p.set_defaults(func=_cmd_run, mode="arbitrary")
 
     p = sub.add_parser("baseline", help="random-order or greedy-order perceptron run")
     add_common(p)
     p.add_argument("--order", choices=ORDERS, help="order policy")
     p.add_argument("--records", action="store_true", help="include per-prediction records in --out")
-    p.set_defaults(func=_cmd_baseline)
+    p.set_defaults(func=_cmd_run, mode="baseline")
 
     p = sub.add_parser("verify", help="run the Monte-Carlo verification battery")
     add_common(p, with_data=False)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, mode="verify")
 
     p = sub.add_parser("report", help="run an experiment grid from a config file")
     add_common(p, with_data=False)

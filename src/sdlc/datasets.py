@@ -21,6 +21,16 @@ from .geometry import (
 ARBITRARY_FAMILIES = ("clustered", "low_margin", "subspace_degenerate", "grid")
 FAMILIES = ("uniform",) + ARBITRARY_FAMILIES
 _NUMBER_TYPES = frozenset((int, float))
+# The parameters each family reads, and the types each accepts.
+_INT = frozenset((int,))
+FAMILY_PARAMS = {
+    "uniform": {},
+    "clustered": {"num_clusters": _INT, "spread": _NUMBER_TYPES,
+                  "boundary_offset": _NUMBER_TYPES, "margin_floor": _NUMBER_TYPES},
+    "low_margin": {"gamma": _NUMBER_TYPES},
+    "subspace_degenerate": {"rho": _NUMBER_TYPES, "k": _INT},
+    "grid": {},
+}
 # Rejection draws allowed per clustered point. A point whose acceptance
 # rate is below about 1e-4 exhausts them and the parameters are rejected
 # as infeasible, instead of looping forever.
@@ -85,8 +95,25 @@ def _orthonormal_basis(d: int, k: int, rng: RngStream) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def check_family_params(family: str, params) -> None:
+    """Reject a parameter `family` does not read, or one of a type it does not accept."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if not isinstance(params, dict):
+        raise ValueError(f"family parameters must be a JSON object, got {params!r}")
+    accepted = FAMILY_PARAMS[family]
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(f"family {family!r} reads no parameters {unknown}; "
+                         f"it reads {sorted(accepted) or 'none'}")
+    for name, value in params.items():
+        if type(value) not in accepted[name]:
+            kind = "an integer" if accepted[name] is _INT else "a number"
+            raise ValueError(f"family parameter {name} must be {kind}, got {value!r}")
+
+
 def _gen_clustered(n: int, d: int, params: dict, rng: RngStream) -> LabeledDataset:
-    num_clusters = int(params.get("num_clusters", min(5, n)))
+    num_clusters = params.get("num_clusters", min(5, n))
     spread = float(params.get("spread", 0.02))
     offset = float(params.get("boundary_offset", 0.1))
     floor = float(params.get("margin_floor", 0.02))
@@ -159,7 +186,7 @@ def _gen_low_margin(n: int, d: int, params: dict, rng: RngStream) -> LabeledData
 
 def _gen_subspace_degenerate(n: int, d: int, params: dict, rng: RngStream) -> LabeledDataset:
     rho = float(params.get("rho", 0.8))
-    k = int(params.get("k", max(1, d // 2)))
+    k = params.get("k", max(1, d // 2))
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     if not 1 <= k <= d:
@@ -206,7 +233,8 @@ def gen_arbitrary(family: str, n: int, d: int, params: dict | None, rng: RngStre
         raise ValueError(f"dataset size must be >= 1, got {n}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    params = dict(params or {})
+    params = {} if params is None else params
+    check_family_params(family, params)
     if family == "clustered":
         return _gen_clustered(n, d, params, rng)
     if family == "low_margin":

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .arbitrary import DEFAULT_C_HAT, strong_run
-from .datasets import LabeledDataset, gen_arbitrary, gen_uniform_sphere
+from .datasets import LabeledDataset, check_family_params, gen_arbitrary, gen_uniform_sphere
 from .geometry import RngStream
 from .oracles import (
     greedy_adversarial_order,
@@ -45,6 +45,20 @@ STREAM_VERIFY = 3
 MODES = ("sphere", "arbitrary", "baseline", "verify")
 ORDERS = ("random", "greedy")
 CSV_COLUMNS = ("mode", "d", "n", "seed", "mistakes", "coverage", "runtime_ms")
+# The keys of a single run that a config file may hold besides the
+# ExperimentConfig fields, with their defaults.
+RUN_KEYS = {"n": 1000, "d": 5, "seed": 0}
+# RngStream masks a seed to 64 bits: a seed outside [0, 2**64) would share
+# the streams of one inside.
+_SEED_LIMIT = 1 << 64
+_NUMBER_TYPES = (int, float)
+
+
+def _check_int(name: str, value, seed: bool = False) -> None:
+    """Reject anything but an int >= 1, or for a seed one in [0, 2**64): no bool, float or string."""
+    low, high, text = (0, _SEED_LIMIT, "in [0, 2**64)") if seed else (1, math.inf, ">= 1")
+    if type(value) is not int or not low <= value < high:
+        raise ValueError(f"{name} must be an integer {text}, got {value!r}")
 
 
 @dataclass
@@ -67,10 +81,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.d_grid or not self.n_grid or not self.seeds:
-            raise ValueError("d_grid, n_grid and seeds must be nonempty")
+        for name in ("d_grid", "n_grid", "seeds"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"{name} must be a nonempty list, got {values!r}")
+            for value in values:
+                _check_int(f"{name} entry", value, seed=name == "seeds")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        for name in ("delta", "eps", "c_prime", "c_init", "c_hat", "alpha_hat"):
+            value = getattr(self, name)
+            if type(value) not in _NUMBER_TYPES and not (name == "alpha_hat" and value is None):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         for name in ("delta", "eps"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0 and not (name == "eps" and value == 1.0):
@@ -81,7 +103,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.c_hat <= 1.0:
             raise ValueError(f"c_hat must be in (0, 1], got {self.c_hat}")
-        _check_order(self.order)
+        if self.alpha_hat is not None and not 0.0 < self.alpha_hat < 1.0:
+            raise ValueError(f"alpha_hat must be in (0, 1), got {self.alpha_hat}")
+        check_family_params(self.family, self.family_params)
+        if self.order not in ORDERS:
+            raise ValueError(f"order must be one of {ORDERS}, got {self.order!r}")
+        if self.out is not None and type(self.out) is not str:
+            raise ValueError(f"out must be a path, got {self.out!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -90,6 +118,20 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**raw)
+
+    @classmethod
+    def split(cls, raw: dict) -> tuple["ExperimentConfig", dict]:
+        """The config of merged settings and its single-run keys, RUN_KEYS defaults filled in.
+
+        Rejects keys that are neither fields nor RUN_KEYS, and checks the
+        single-run keys as the grid entries are checked.
+        """
+        fields = dict(raw)
+        run = {key: fields.pop(key, default) for key, default in RUN_KEYS.items()}
+        cfg = cls.from_dict(fields)
+        for key, value in run.items():
+            _check_int(key, value, seed=key == "seed")
+        return cfg, run
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -155,11 +197,6 @@ def fit_scaling(points: list[tuple[float, float]]) -> dict:
     return {"log": one_fit(np.log(ns)), "loglog": one_fit(np.log(np.log(ns)))}
 
 
-def _check_order(order: str) -> None:
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-
-
 def make_dataset(family: str, n: int, d: int, params: dict | None, seed: int) -> LabeledDataset:
     """The dataset of one (family, n, d, seed), drawn from stream STREAM_DATA."""
     rng = RngStream(seed, STREAM_DATA)
@@ -168,35 +205,39 @@ def make_dataset(family: str, n: int, d: int, params: dict | None, seed: int) ->
     return gen_arbitrary(family, n, d, params, rng)
 
 
-def run_baseline(ds: LabeledDataset, order: str, seed: int) -> Transcript:
-    """One order-policy baseline (one of ORDERS) on stream STREAM_BASELINE."""
-    _check_order(order)
-    rng = RngStream(seed, STREAM_BASELINE)
-    if order == "random":
-        return random_order_run(ds, rng)
-    return greedy_adversarial_order(ds, rng=rng)
+def run_single(cfg: ExperimentConfig, ds: LabeledDataset, seed: int) -> tuple[Transcript, dict]:
+    """One run of cfg.mode on ds at seed: the one place a mode picks its learner.
+
+    Returns the transcript and the mode's own payload fields: the sphere
+    schedule; the baseline order; or the boosted run's eps, delta,
+    coverage, rounds_used, attempts and partial. Numbers are passed on as
+    floats, so an integer setting runs and reads as its float.
+    """
+    delta = float(cfg.delta)
+    if cfg.mode == "sphere":
+        schedule = make_schedule(ds.n, ds.d, delta, float(cfg.c_prime))
+        res = run_sphere(ds, schedule, RngStream(seed, STREAM_LEARNER), float(cfg.c_init))
+        return res.transcript, {"schedule": asdict(schedule)}
+    if cfg.mode == "arbitrary":
+        eps = float(cfg.eps)
+        alpha_hat = None if cfg.alpha_hat is None else float(cfg.alpha_hat)
+        res = strong_run(ds, eps, delta, RngStream(seed, STREAM_LEARNER), float(cfg.c_hat), alpha_hat)
+        return res.transcript, {"eps": eps, "delta": delta, "coverage": res.coverage,
+                                "rounds_used": res.rounds_used, "attempts": res.attempts,
+                                "partial": res.partial}
+    if cfg.mode == "baseline":
+        order_run = random_order_run if cfg.order == "random" else greedy_adversarial_order
+        return order_run(ds, RngStream(seed, STREAM_BASELINE)), {"order": cfg.order}
+    raise ValueError(f"run_single does not handle mode {cfg.mode!r}")
 
 
 def run_trial(cfg: ExperimentConfig, d: int, n: int, seed: int) -> dict:
     """One (d, n, seed) cell trial; returns a CSV-ready row."""
     start = time.perf_counter()
-    ds = make_dataset(cfg.family, n, d, cfg.family_params, seed)
-    if cfg.mode == "sphere":
-        schedule = make_schedule(n, d, cfg.delta, cfg.c_prime)
-        res = run_sphere(ds, schedule, RngStream(seed, STREAM_LEARNER), cfg.c_init)
-        mistakes, coverage = res.mistakes, 1.0
-    elif cfg.mode == "baseline":
-        transcript = run_baseline(ds, cfg.order, seed)
-        mistakes, coverage = transcript.mistakes, 1.0
-    elif cfg.mode == "arbitrary":
-        res = strong_run(ds, cfg.eps, cfg.delta, RngStream(seed, STREAM_LEARNER),
-                         cfg.c_hat, cfg.alpha_hat)
-        mistakes, coverage = res.mistakes, res.coverage
-    else:
-        raise ValueError(f"run_trial does not handle mode {cfg.mode!r}")
+    transcript, fields = run_single(cfg, make_dataset(cfg.family, n, d, cfg.family_params, seed), seed)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return {"mode": cfg.mode, "d": d, "n": n, "seed": seed,
-            "mistakes": int(mistakes), "coverage": float(coverage),
+            "mistakes": int(transcript.mistakes), "coverage": float(fields.get("coverage", 1.0)),
             "runtime_ms": round(runtime_ms, 3)}
 
 

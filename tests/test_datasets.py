@@ -14,6 +14,7 @@ from sdlc.cli import main
 from sdlc.datasets import (
     ARBITRARY_FAMILIES,
     LabeledDataset,
+    check_family_params,
     gen_arbitrary,
     gen_uniform_sphere,
     load_jsonl,
@@ -95,6 +96,29 @@ def test_gen_uniform_label_balance():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         gen_arbitrary("spiral", 10, 2, None, RngStream(0))
+
+
+@pytest.mark.parametrize("family, params, needle", [
+    ("low_margin", {"gama": 0.3}, "reads no parameters ['gama']"),
+    ("grid", {"spread": 0.1}, "it reads none"),
+    ("clustered", {"num_clusters": 2.7}, "num_clusters must be an integer"),
+    ("clustered", {"spread": "0.1"}, "spread must be a number"),
+    ("subspace_degenerate", {"k": 2.0}, "k must be an integer"),
+    ("subspace_degenerate", {"rho": True}, "rho must be a number"),
+    ("clustered", [1], "must be a JSON object"),
+])
+def test_family_params_are_checked(family, params, needle):
+    with pytest.raises(ValueError) as err:
+        gen_arbitrary(family, 10, 3, params, RngStream(0))
+    assert needle in str(err.value)
+
+
+def test_family_params_accept_what_the_family_reads():
+    check_family_params("clustered", {"num_clusters": 2, "spread": 1, "boundary_offset": 0.1,
+                                      "margin_floor": 0.02})
+    check_family_params("subspace_degenerate", {"rho": 1, "k": 2})
+    with pytest.raises(ValueError, match="reads no parameters"):
+        check_family_params("uniform", {"rho": 0.5})
 
 
 @pytest.mark.parametrize("family", ARBITRARY_FAMILIES)

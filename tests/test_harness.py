@@ -40,6 +40,20 @@ def test_config_validation():
                         ("c_init", math.nan), ("c_hat", 0.0), ("c_hat", 1.5)]:
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(mode="sphere", **{name: value})
+    # Exact types and ranges: no bool, float or string where an int goes,
+    # and seeds in [0, 2**64), where RngStream keeps them apart.
+    for name, value in [("n_grid", ["1000"]), ("d_grid", [True]), ("seeds", [1.5]),
+                        ("seeds", [-1]), ("seeds", [2**64]), ("n_grid", [0]), ("d_grid", 5),
+                        ("delta", "0.1"), ("eps", None), ("c_prime", True), ("alpha_hat", "x"),
+                        ("alpha_hat", 1.0), ("family", "nope"), ("out", 3)]:
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(mode="sphere", **{name: value})
+    for family, params in [("low_margin", {"gama": 0.3}), ("uniform", {"rho": 0.5}),
+                           ("clustered", {"num_clusters": 2.7}), ("subspace_degenerate", {"k": 2.0}),
+                           ("grid", {"spread": 0.1}), ("uniform", [1])]:
+        with pytest.raises(ValueError, match="famil"):
+            ExperimentConfig(mode="arbitrary", family=family, family_params=params)
+    assert ExperimentConfig(mode="sphere", seeds=[0, 2**64 - 1], c_prime=80).c_prime == 80
     # eps = 1.0 is the explicit "no coverage requirement" setting
     assert ExperimentConfig(mode="arbitrary", eps=1.0).eps == 1.0
 

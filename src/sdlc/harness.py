@@ -117,6 +117,8 @@ class ExperimentConfig:
         unknown = set(raw) - names
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        if "mode" not in raw:
+            raise ValueError(f"config field 'mode' is missing: give one of {MODES}")
         return cls(**raw)
 
     @classmethod

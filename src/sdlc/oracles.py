@@ -9,9 +9,9 @@ always allow three standard errors of Monte-Carlo slack.
 The baselines are the order policies the self-directed learner is
 measured against: a uniformly random prediction order and a greedy
 adversarial order that always serves the point the current hypothesis
-is least sure about. Both predict through the ordered kernel of
-`perceptron` (key: position in the permutation, or |w . x|) and update
-with `update_or_flip`; neither keeps an ordering loop of its own.
+is least sure about. Both are `perceptron.margin_sweeps` run to the
+end with their own key (position in the permutation, or |w . x|), the
+stretch loop the self-directed learners use with key -|w . x|.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .datasets import LabeledDataset
 from .errors import InfeasibleParametersError, RegimeError
 from .geometry import RngStream, sample_sphere
-from .perceptron import Hypothesis, _commit_ordered, update_or_flip
+from .perceptron import Hypothesis, margin_sweeps
 from .transcript import LabelOracle, Transcript
 
 # Points per block of the Monte-Carlo kernels: enough to amortise numpy's
@@ -301,22 +301,14 @@ def simulate_superlinear(
 def random_order_run(ds: LabeledDataset, rng: RngStream) -> Transcript:
     """Predict all points in a uniformly random order, updating on mistakes.
 
-    Each stretch between mistakes streams through the permutation with the
-    ordered kernel, scoring one window at a time under the fixed
-    hypothesis; the first window is the previous stretch's length.
+    The stretches of margin_sweeps with key None: position order in the
+    permutation, scored one window at a time under the fixed hypothesis.
     """
     oracle = LabelOracle(ds)
     order = rng.child(0).gen.permutation(ds.n)
     h = Hypothesis(sample_sphere(ds.d, rng.child(1)))
-    pos = revealed = 0
-    while pos < order.size:
-        rest = order[pos:]
-        committed, hit = _commit_ordered(
-            oracle, rest, lambda take: oracle.points[rest[take]] @ h.w, "random-order", revealed)
-        revealed = committed.size
-        pos += revealed
-        if hit:
-            h = update_or_flip(h, oracle.points[rest[committed[-1]]])
+    for _ in margin_sweeps(oracle, order, h, "random-order", key=None):
+        pass
     return oracle.transcript
 
 
@@ -324,23 +316,13 @@ def greedy_adversarial_order(ds: LabeledDataset, rng: RngStream) -> Transcript:
     """Always serve the unlabeled point with the smallest |w . x|.
 
     A stress order: the learner keeps facing the points its current
-    hypothesis is least confident about (ties broken by index). The
-    hypothesis is fixed between mistakes, so each stretch goes through
-    the ordered kernel with key |w . x| over the points still unlabeled,
-    re-scored under the new hypothesis after each update; the first
-    window is the previous stretch's length.
+    hypothesis is least confident about (ties broken by index). These are
+    the stretches of margin_sweeps with key |w . x|, re-scored over the
+    points still unlabeled after each update.
     Starts from a random unit vector drawn from `rng`.
     """
     oracle = LabelOracle(ds)
     h = Hypothesis(sample_sphere(ds.d, rng.child(1)))
-    remaining = np.arange(ds.n)
-    revealed = 0
-    while remaining.size:
-        margins = oracle.points[remaining] @ h.w
-        committed, hit = _commit_ordered(
-            oracle, remaining, margins.__getitem__, "greedy-order", revealed, keys=np.abs(margins))
-        revealed = committed.size
-        if hit:
-            h = update_or_flip(h, oracle.points[remaining[committed[-1]]])
-        remaining = np.delete(remaining, committed)
+    for _ in margin_sweeps(oracle, np.arange(ds.n), h, "greedy-order", key=np.abs):
+        pass
     return oracle.transcript

@@ -13,13 +13,15 @@ uses: the projection update, or w -> -w when the mistake point is
 parallel to w (always so in dimension 1) and the projection would zero
 it.
 
-`_commit_ordered` is the one ordered kernel, which the margin pass and
-both order baselines share: it commits candidates in stable
-ascending-key order until the first mistake, one `np.partition` window
-at a time, so what a stretch never reaches is never sorted (nor, when
-scored lazily, scored). `margin_perceptron_pass` is that kernel with key
--|w . x|, then update_or_flip; `margin_sweeps` repeats it over what is
-left, re-sorted after each update, for every self-directed learner.
+`margin_sweeps` is the one stretch loop, for every prediction order:
+commit the points left in stable key order until the first mistake,
+update_or_flip, drop what was committed, go on. Its key picks the
+order: -|w . x| for the self-directed learners (max_margin_key), |w . x|
+for the greedy baseline, and position for the random-order baseline.
+Each stretch goes through `_commit_ordered`, which commits one
+`np.partition` window at a time, so what a stretch never reaches is
+never sorted (nor, in position order, scored).
+`margin_perceptron_pass` is the first stretch, with its UpdateRecord.
 """
 
 from __future__ import annotations
@@ -113,9 +115,13 @@ def margin_mistake_bound(alpha: float, beta: float) -> float:
     return (2.0 / (beta * beta)) * math.log(1.0 / alpha)
 
 
-# First window of a margin pass. It is small next to the sphere
-# initializer's n/4 candidates, of which a pass mostly reveals a few
-# dozen, and three windows cover a sphere-learner bucket at n=10^6.
+# First window of the first stretch, and the floor of every later one,
+# which starts from the previous stretch's length. It is small next to
+# the sphere initializer's n/4 candidates, of which a stretch mostly
+# reveals a few dozen, and three windows cover a sphere-learner bucket at
+# n=10^6. Without the floor, a keyed stretch a little longer than a short
+# one before it partitions all that is left twice, which cost the boosted
+# benchmark 10% of its wall time (2-core box, median of ten pairs).
 _PASS_FIRST_WINDOW = 128
 
 
@@ -184,6 +190,62 @@ class PassResult:
     update_record: UpdateRecord | None = None
 
 
+def max_margin_key(margins: np.ndarray) -> np.ndarray:
+    """Sort keys of the self-directed order: largest |w . x| first."""
+    return -np.abs(margins)
+
+
+def margin_sweeps(oracle: LabelOracle, indices: np.ndarray, h: Hypothesis, phase: str,
+                  key=max_margin_key, points: np.ndarray | None = None) -> Iterator[PassResult]:
+    """Yield one stretch per mistake: commit in key order until the first mistake, update.
+
+    Each stretch commits the not-yet-committed `indices` in stable
+    ascending order of key(margins) under the current hypothesis, through
+    the windowed kernel, until the first mistake; update_or_flip at that
+    point starts the next stretch. key is max_margin_key for the
+    self-directed learners, np.abs for the greedy order, and None for
+    position order, in which margins are scored lazily, one window at a
+    time. `points`, when given, holds the rows that are scored and updated
+    on in place of oracle.points[indices] (one row per index, e.g. in a
+    transformed frame).
+
+    A stretch's `committed` positions index the `indices` (and `points`)
+    it ran on, which shrink by the committed positions before the next
+    one: a committed prefix is sliced off, anything else np.delete'd. A
+    stretch's first window is the previous stretch's length, at least
+    _PASS_FIRST_WINDOW. The sweeps end after a stretch without a mistake,
+    which has committed everything left; callers stop them earlier with
+    itertools.islice or break.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+
+    def rows(pos):
+        return oracle.points[indices[pos]] if points is None else points[pos]
+
+    window = _PASS_FIRST_WINDOW
+    while indices.size:
+        if key is None:
+            committed, hit = _commit_ordered(oracle, indices, lambda take: rows(take) @ h.w, phase, window)
+        else:
+            margins = rows(slice(None)) @ h.w
+            committed, hit = _commit_ordered(oracle, indices, margins.__getitem__, phase, window, key(margins))
+            # Freed before the yield: kept until the next stretch had
+            # allocated its arrays, it raised the sphere initializer's
+            # peak RSS at n=10^6 by 4%.
+            del margins
+        if hit:
+            h = update_or_flip(h, rows(committed[-1]))
+        yield PassResult(h, hit, committed)
+        size = committed.size
+        window = max(size, _PASS_FIRST_WINDOW)
+        if committed.max() == size - 1:  # a prefix: slice it off without a copy
+            indices = indices[size:]
+            points = None if points is None else points[size:]
+        else:
+            indices = np.delete(indices, committed)
+            points = None if points is None else np.delete(points, committed, axis=0)
+
+
 def margin_perceptron_pass(
     oracle: LabelOracle,
     indices: np.ndarray,
@@ -192,58 +254,27 @@ def margin_perceptron_pass(
     ground_truth: np.ndarray | None = None,
     points: np.ndarray | None = None,
 ) -> PassResult:
-    """One max-margin pass: predict in decreasing |w . x| order, update once.
+    """One max-margin pass: the first stretch of margin_sweeps.
 
     Points are predicted from the largest absolute margin down (ties by
-    position in `indices`), through the windowed kernel with key -|w . x|.
-    The first mistake triggers update_or_flip and ends the pass; the
-    remaining points stay unpredicted. Every prediction made is revealed
-    through the oracle and logged. `points`, when given, holds the rows
-    that are scored and updated on in place of oracle.points[indices]
-    (one row per index, e.g. in a transformed frame).
+    position in `indices`) until the first mistake, which triggers
+    update_or_flip and ends the pass; the remaining points stay
+    unpredicted. With `ground_truth`, an update also carries its
+    UpdateRecord.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return PassResult(h, False, np.empty(0, dtype=np.int64))
-    if points is None:
-        points = oracle.points[indices]
-    margins = points @ h.w
-    committed, hit = _commit_ordered(
-        oracle, indices, margins.__getitem__, phase, _PASS_FIRST_WINDOW, keys=-np.abs(margins))
-    if not hit:
-        return PassResult(h, False, committed)
-    pos = committed[-1]
-    h_next = update_or_flip(h, points[pos])
-    record = None
-    if ground_truth is not None:
+    result = next(margin_sweeps(oracle, indices, h, phase, points=points),
+                  PassResult(h, False, np.empty(0, dtype=np.int64)))
+    if result.updated and ground_truth is not None:
+        pos = result.committed[-1]
+        x = oracle.points[indices[pos]] if points is None else points[pos]
+        margin = abs(float(h.w @ x))
         sin_t = math.sin(angle(h.w, ground_truth))
-        margin = abs(float(margins[pos]))
-        record = UpdateRecord(
+        result.update_record = UpdateRecord(
             point_index=int(indices[pos]),
             margin=margin,
             r=min(1.0, margin / (h.norm * sin_t)) if sin_t > 0 else 0.0,
             tan_before=tan_theta(h.w, ground_truth),
-            tan_after=tan_theta(h_next.w, ground_truth),
+            tan_after=tan_theta(result.hypothesis.w, ground_truth),
         )
-    return PassResult(h_next, True, committed, record)
-
-
-def margin_sweeps(oracle: LabelOracle, indices: np.ndarray, h: Hypothesis, phase: str,
-                  points: np.ndarray | None = None) -> Iterator[PassResult]:
-    """Yield margin passes over what earlier passes left, until one makes no mistake.
-
-    Each pass starts from the previous one's hypothesis, and its
-    `committed` positions index the shrunken `indices` (and `points`) it
-    ran on. The sweeps also end when nothing is left; callers stop them
-    earlier with itertools.islice or break.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    while indices.size:
-        result = margin_perceptron_pass(oracle, indices, h, phase, points=points)
-        yield result
-        if not result.updated:
-            return
-        h = result.hypothesis
-        indices = np.delete(indices, result.committed)
-        if points is not None:
-            points = np.delete(points, result.committed, axis=0)
+    return result

@@ -1,15 +1,16 @@
 """Self-directed learner for uniform-sphere data.
 
 The run has four phases. A prefix of a quarter of the points trains a
-starting direction self-directedly: repeated max-margin passes (predict
-in decreasing |w.x| order, projection update on the first mistake,
-re-sort) until a mistake budget is spent or the prefix runs out. The
-remaining points are split into 2k random buckets feeding two
-independent arms; each arm consumes one bucket per round with a single
-max-margin pass (predict in decreasing |w.x| order, update once on the
-first mistake). Finally each arm labels everything the other arm
-trained on, so no bucket's labels ever feed back into the hypothesis
-that predicts it.
+starting direction self-directedly: the max-margin stretches of
+`perceptron.margin_sweeps` (predict in decreasing |w.x| order until the
+first mistake, projection update, re-sort) until a mistake budget is
+spent or the prefix runs out. The remaining points are split into 2k
+random buckets feeding two independent arms; each arm consumes one
+bucket per round with a single max-margin pass, the first stretch of
+those sweeps. Finally each arm labels everything the other arm trained
+on, so no bucket's labels ever feed back into the hypothesis that
+predicts it. When the update budget exceeds half the data, one arm runs
+the sweeps over the whole set instead (the fallback).
 """
 
 from __future__ import annotations
@@ -63,11 +64,12 @@ def make_schedule(n: int, d: int, delta: float, c_prime: float = DEFAULT_C_PRIME
         raise ValueError(f"dimension must be >= 1, got {d}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if c_prime <= 0.0:
-        raise ValueError(f"c_prime must be positive, got {c_prime}")
+    if not (math.isfinite(c_prime) and c_prime > 0.0):
+        raise ValueError(f"c_prime must be positive and finite, got {c_prime}")
     loglog = math.log(math.log(n))
-    t_raw = math.ceil(c_prime * d * max(loglog, 1.0) * math.log(1.0 / delta))
-    t_raw = max(1, t_raw)
+    # Capped at n before ceil: any budget over n // 2 means the fallback,
+    # and a huge c_prime makes the product overflow to inf.
+    t_raw = max(1, math.ceil(min(c_prime * d * max(loglog, 1.0) * math.log(1.0 / delta), n)))
     T = min(t_raw, n // 2)
     k = max(1, min(T, n // 4))
     N = n // (2 * k)
@@ -129,14 +131,6 @@ class SphereRunResult:
         return self.transcript.mistakes
 
 
-def _fallback_run(oracle: LabelOracle, rng: RngStream) -> Hypothesis:
-    """Single arm over the whole set, re-sorting by margin after every update."""
-    h = Hypothesis(sample_sphere(oracle.d, rng.child(0)))
-    for result in margin_sweeps(oracle, np.arange(oracle.n), h, PHASE_TRAIN_W):
-        h = result.hypothesis
-    return h
-
-
 def run_sphere(
     ds: LabeledDataset,
     schedule: SphereSchedule,
@@ -158,7 +152,10 @@ def run_sphere(
     oracle = LabelOracle(ds)
 
     if schedule.fallback:
-        h = _fallback_run(oracle, rng)
+        # A single arm over the whole set, re-sorting by margin after every update.
+        h = Hypothesis(sample_sphere(ds.d, rng.child(0)))
+        for result in margin_sweeps(oracle, np.arange(ds.n), h, PHASE_TRAIN_W):
+            h = result.hypothesis
         return SphereRunResult(oracle.transcript, schedule, h, None)
 
     prefix_size = init_prefix_size(ds.n)

@@ -153,13 +153,27 @@ def test_params_must_be_an_object(family, tmp_path, monkeypatch, capsys):
     ({"family": "low_margin", "family_params": {"gama": 0.3}}, "gama"),
     ({"alpha_hat": 1.5}, "alpha_hat must be in (0, 1)"),
     ({"seed": 1.5}, "seed must be an integer"),
+    ({"mode": None}, "config field 'mode' is missing"),
 ])
 def test_bad_report_config_exits_1_before_any_cell(config, needle, tmp_path, monkeypatch, capsys):
     drawn = _no_datasets(monkeypatch)
-    cfg = _write_config(tmp_path, {"mode": "sphere", "d_grid": [3], "n_grid": [200], **config})
+    # A None value leaves the key out of the file.
+    config = {"mode": "sphere", "d_grid": [3], "n_grid": [200], **config}
+    cfg = _write_config(tmp_path, {k: v for k, v in config.items() if v is not None})
     assert main(["report", "--config", cfg]) == 1
     _assert_one_line_error(capsys, needle)
     assert not drawn
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--c-prime", "1e308"], None),
+    ([], {"c_prime": 1.7e308}),
+])
+def test_huge_c_prime_runs_the_fallback(argv, config, tmp_path, capsys):
+    if config is not None:
+        argv = [*argv, "--config", _write_config(tmp_path, config)]
+    assert main(["run-sphere", "--n", "100", "--d", "3", *argv]) == 0
+    assert "T=50 k=25 fallback=True" in capsys.readouterr().out
 
 
 def test_one_config_file_serves_a_run_and_a_report(tmp_path, capsys):

@@ -18,6 +18,7 @@ from sdlc.perceptron import (
     margin_mistake_bound,
     margin_perceptron_pass,
     margin_sweeps,
+    max_margin_key,
     mp_update,
     update_or_flip,
 )
@@ -304,3 +305,78 @@ def test_ordered_kernel_commits_the_stable_argsort_prefix(data):
     assert committed.tolist() == order[:stop].tolist()
     assert oracle.transcript.predicted_indices().tolist() == indices[order[:stop]].tolist()
     assert np.flatnonzero(oracle.predicted_mask()).tolist() == sorted(indices[order[:stop]].tolist())
+
+
+def _sweeps_reference(oracle, indices, h, key, rows):
+    """Per point: predict the point left with the smallest (key of its margin, position).
+
+    A mistake updates with update_or_flip and ends the stretch. Returns
+    each stretch's committed indices, whether a mistake ended it, and w
+    after it.
+    """
+    left = np.arange(indices.size)
+    stretches, stretch = [], []
+    while left.size:
+        at = 0 if key is None else int(np.argsort(key(rows[left] @ h.w), kind="stable")[0])
+        pos = left[at]
+        left = np.delete(left, at)
+        margin = float(rows[pos] @ h.w)
+        prediction = 1 if margin >= 0.0 else -1
+        stretch.append(int(indices[pos]))
+        if oracle.predict(int(indices[pos]), prediction, margin, "s") != prediction:
+            h = update_or_flip(h, rows[pos])
+            stretches.append((stretch, True, h.w))
+            stretch = []
+    if stretch:
+        stretches.append((stretch, False, h.w))
+    return stretches
+
+
+def _small_integer_rows(gen, m, d):
+    """Rows in {-1, 0, 1}^d with at most two nonzeros, so |x|^2 <= 2.
+
+    An update then never lengthens an integer w, so every margin and
+    update is exact and |margin| ties are exact ties.
+    """
+    rows = gen.integers(-1, 2, size=(m, d)).astype(float)
+    if d == 3:
+        rows[np.arange(m), gen.integers(0, 3, size=m)] = 0.0
+    return rows
+
+
+@given(st.data())
+def test_sweeps_match_per_point_reference(data):
+    # All three keys, in the dataset's frame or a given one, d = 1 (every
+    # update a flip) to 3, labels from a noisy separator so that stretches
+    # run past the first window as well as stopping at once; a stretch
+    # commits a prefix of what is left or not, as the key order falls.
+    key = data.draw(st.sampled_from([max_margin_key, np.abs, None]), label="key")
+    m = data.draw(st.integers(1, 400), label="m")
+    d = data.draw(st.integers(1, 3), label="d")
+    k = data.draw(st.sampled_from([None, 1, 2, 3]), label="frame dimension")
+    noise = data.draw(st.sampled_from([0.0, 0.01, 0.2, 0.5]), label="label noise")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    n = m + int(gen.integers(0, 5))
+    points = _small_integer_rows(gen, n, d)
+    frame = None if k is None else _small_integer_rows(gen, m, k)
+    indices = gen.permutation(n)[:m]
+    rows = points[indices] if frame is None else frame
+    truth = predict_signs(rows @ gen.standard_normal(rows.shape[1]))
+    labels = np.ones(n, dtype=np.int64)
+    labels[indices] = np.where(gen.random(m) < noise, -truth, truth)
+    w0 = gen.integers(-2, 3, size=rows.shape[1]).astype(float)
+    w0[0] = w0[0] or 1.0
+    ds = LabeledDataset(points, labels)
+
+    oracle = LabelOracle(ds)
+    left, got = indices.copy(), []
+    for result in margin_sweeps(oracle, indices, Hypothesis(w0), "s", key=key, points=frame):
+        got.append((left[result.committed].tolist(), result.updated, result.hypothesis.w))
+        left = np.delete(left, result.committed)
+
+    reference = LabelOracle(ds)
+    want = _sweeps_reference(reference, indices, Hypothesis(w0), key, rows)
+    assert [(c, u) for c, u, _ in got] == [(c, u) for c, u, _ in want]
+    assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+    assert list(oracle.transcript.records()) == list(reference.transcript.records())

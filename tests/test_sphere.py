@@ -39,6 +39,10 @@ def test_schedule_small_cases():
 def test_schedule_fallback_when_budget_exceeds_data():
     s = make_schedule(8, 5, 0.1)
     assert s.fallback and s.T == 4
+    # a budget past the float range is still just more than the data
+    for c_prime in (1e308, 1.7976931348623157e308):
+        s = make_schedule(100, 3, 0.1, c_prime)
+        assert (s.T, s.k, s.N, s.fallback) == (50, 25, 2, True)
 
 
 def test_schedule_validation():
@@ -52,6 +56,9 @@ def test_schedule_validation():
         make_schedule(100, 2, 1.0)
     with pytest.raises(ValueError):
         make_schedule(100, 2, 0.1, 0.0)
+    for c_prime in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="c_prime must be positive and finite"):
+            make_schedule(100, 2, 0.1, c_prime)
 
 
 def test_run_rejects_nonpositive_c_init():

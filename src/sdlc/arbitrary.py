@@ -12,12 +12,12 @@ eps-fraction of the dataset is labeled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 from .datasets import LabeledDataset
 from .errors import NoConvergenceError
-from .forster import ForsterOutput, forster_transform, pullback_separator
+from .forster import forster_transform
 from .geometry import RngStream, sample_sphere
 from .perceptron import Hypothesis, margin_sweeps
 from .transcript import LabelOracle, Transcript
@@ -35,8 +35,6 @@ class WeakRunResult:
     terminated_by: str  # "coverage" | "budget"
     k: int
     working_size: int
-    initial_correlation_ok: bool | None
-    forster: ForsterOutput = field(repr=False)
 
     @property
     def coverage_target(self) -> float:
@@ -72,12 +70,6 @@ def weak_run(oracle: LabelOracle, rng: RngStream, phase: str = PHASE_WEAK) -> We
     m = U.shape[0]
 
     h = Hypothesis(sample_sphere(k, rng.child(0)))
-    initial_ok: bool | None = None
-    truth = oracle.instrumentation_ground_truth
-    if truth is not None:
-        v_star = pullback_separator(out, truth)
-        initial_ok = bool(h.w @ v_star >= 1.0 / (2.0 * math.sqrt(k)))
-
     budget = weak_sweep_budget(k)
     target = m / (4.0 * k)
     revealed = mistakes = 0
@@ -88,7 +80,7 @@ def weak_run(oracle: LabelOracle, rng: RngStream, phase: str = PHASE_WEAK) -> We
         if revealed >= target:
             terminated_by = "coverage"
             break
-    return WeakRunResult(revealed, mistakes, terminated_by, k, m, initial_ok, out)
+    return WeakRunResult(revealed, mistakes, terminated_by, k, m)
 
 
 @dataclass(frozen=True)
@@ -127,7 +119,10 @@ def compute_boost_budget(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha_hat must be in (0, 1), got {alpha}")
     runs_outer = max(1, math.ceil(math.log(1.0 / eps) / math.log(1.0 / alpha)))
-    retries = max(1, math.ceil(math.log(runs_outer / delta) / c_hat))
+    retries_raw = math.log(runs_outer / delta) / c_hat
+    if not math.isfinite(retries_raw):
+        raise ValueError(f"c_hat is too small for a finite retry count ln(rounds/delta)/c_hat, got {c_hat}")
+    retries = max(1, math.ceil(retries_raw))
     per_run = weak_sweep_budget(d) + 1
     return BoostBudget(eps, delta, alpha, c_hat, runs_outer, retries,
                        runs_outer * retries * per_run)

@@ -252,14 +252,7 @@ def split_buckets(n: int, num_buckets: int, rng: RngStream) -> list[np.ndarray]:
         raise ValueError("bucket count must be >= 1")
     if num_buckets > n:
         raise ValueError(f"cannot split {n} points into {num_buckets} nonempty buckets")
-    perm = rng.gen.permutation(n)
-    base, extra = divmod(n, num_buckets)
-    buckets, start = [], 0
-    for b in range(num_buckets):
-        size = base + (1 if b < extra else 0)
-        buckets.append(np.sort(perm[start:start + size]))
-        start += size
-    return buckets
+    return [np.sort(part) for part in np.array_split(rng.gen.permutation(n), num_buckets)]
 
 
 def save_jsonl(ds: LabeledDataset, path: str) -> None:

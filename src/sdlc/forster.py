@@ -229,18 +229,3 @@ def soft_margin_audit(X: np.ndarray, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=np.float64)
     margins = np.abs(X @ u)
     return float(np.count_nonzero(margins >= 1.0 / (2.0 * math.sqrt(d))) / n)
-
-
-def pullback_separator(output: ForsterOutput, w_star: np.ndarray) -> np.ndarray:
-    """Unit normal separating the transformed points exactly as w_star does.
-
-    Instrumentation helper: sign(v . y) on transformed points equals
-    sign(w_star . x) on the retained originals.
-    """
-    B = output.subspace_basis
-    A_hat = B.T @ output.A @ B
-    v = np.linalg.solve(A_hat.T, B.T @ w_star)
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-300:
-        raise ValueError("separator is orthogonal to the retained subspace")
-    return v / norm

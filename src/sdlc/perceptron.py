@@ -21,7 +21,11 @@ for the greedy baseline, and position for the random-order baseline.
 Each stretch goes through `_commit_ordered`, which commits one
 `np.partition` window at a time, so what a stretch never reaches is
 never sorted (nor, in position order, scored).
-`margin_perceptron_pass` is the first stretch, with its UpdateRecord.
+`margin_perceptron_pass` is the first stretch.
+
+Nothing here reads the true separator: a learner sees the points, and a
+label only after predicting it. An observer that holds the truth can
+measure each update's geometry from outside (geometry.tan_theta).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegenerateHypothesisError
-from .geometry import angle, predict_signs, tan_theta
+from .geometry import predict_signs
 from .transcript import LabelOracle
 
 NORM_FLOOR = 1e-300
@@ -56,17 +60,6 @@ class Hypothesis:
 
     def margin(self, x: np.ndarray) -> float:
         return float(self.w @ x)
-
-
-@dataclass
-class UpdateRecord:
-    """Instrumentation for one mistake update, ground truth in hand."""
-
-    point_index: int
-    margin: float        # |w . x| at the mistake
-    r: float             # margin / (||w|| sin theta)
-    tan_before: float
-    tan_after: float
 
 
 def mp_update(h: Hypothesis, x: np.ndarray) -> Hypothesis:
@@ -187,7 +180,6 @@ class PassResult:
     hypothesis: Hypothesis
     updated: bool
     committed: np.ndarray  # positions into `indices` in commit order; a mistake is last
-    update_record: UpdateRecord | None = None
 
 
 def max_margin_key(margins: np.ndarray) -> np.ndarray:
@@ -251,7 +243,6 @@ def margin_perceptron_pass(
     indices: np.ndarray,
     h: Hypothesis,
     phase: str = "",
-    ground_truth: np.ndarray | None = None,
     points: np.ndarray | None = None,
 ) -> PassResult:
     """One max-margin pass: the first stretch of margin_sweeps.
@@ -259,22 +250,7 @@ def margin_perceptron_pass(
     Points are predicted from the largest absolute margin down (ties by
     position in `indices`) until the first mistake, which triggers
     update_or_flip and ends the pass; the remaining points stay
-    unpredicted. With `ground_truth`, an update also carries its
-    UpdateRecord.
+    unpredicted.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    result = next(margin_sweeps(oracle, indices, h, phase, points=points),
-                  PassResult(h, False, np.empty(0, dtype=np.int64)))
-    if result.updated and ground_truth is not None:
-        pos = result.committed[-1]
-        x = oracle.points[indices[pos]] if points is None else points[pos]
-        margin = abs(float(h.w @ x))
-        sin_t = math.sin(angle(h.w, ground_truth))
-        result.update_record = UpdateRecord(
-            point_index=int(indices[pos]),
-            margin=margin,
-            r=min(1.0, margin / (h.norm * sin_t)) if sin_t > 0 else 0.0,
-            tan_before=tan_theta(h.w, ground_truth),
-            tan_after=tan_theta(result.hypothesis.w, ground_truth),
-        )
-    return result
+    return next(margin_sweeps(oracle, indices, h, phase, points=points),
+                PassResult(h, False, np.empty(0, dtype=np.int64)))

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable
 
 import numpy as np
 
 from .datasets import LabeledDataset, split_buckets
 from .geometry import RngStream, predict_signs, sample_sphere
-from .perceptron import Hypothesis, UpdateRecord, margin_perceptron_pass, margin_sweeps
+from .perceptron import Hypothesis, margin_perceptron_pass, margin_sweeps
 from .transcript import LabelOracle, Transcript
 
 DEFAULT_C_PRIME = 4.0
@@ -110,7 +109,9 @@ def initialize_hypothesis(
     starting vector unchanged when no update happened.
     """
     d = oracle.d
-    budget = math.ceil(c_init * d * math.log(1.0 / delta))
+    # Capped at the prefix size before ceil: every stretch commits at
+    # least one point, and a huge c_init makes the product overflow.
+    budget = math.ceil(min(c_init * d * math.log(1.0 / delta), prefix.size))
     h = Hypothesis(sample_sphere(d, rng))
     updated = False
     for result in islice(margin_sweeps(oracle, prefix, h, PHASE_INIT), budget):
@@ -136,14 +137,12 @@ def run_sphere(
     schedule: SphereSchedule,
     rng: RngStream,
     c_init: float = DEFAULT_C_INIT,
-    instrument: Callable[[str, int, UpdateRecord], None] | None = None,
 ) -> SphereRunResult:
     """Run the two-arm self-directed learner over one dataset.
 
-    Predicts every index exactly once. The instrument callback, when
-    given (and the dataset carries ground truth), receives an
-    UpdateRecord per training update - diagnostics only, the learner
-    never reads the truth itself.
+    Predicts every index exactly once. The learner reads the points and
+    the labels it has predicted, never the dataset's true separator: the
+    same points and labels with or without it give the same transcript.
     """
     if ds.n != schedule.n or ds.d != schedule.d:
         raise ValueError("schedule does not match the dataset shape")
@@ -165,14 +164,10 @@ def run_sphere(
 
     rest = np.arange(prefix_size, ds.n, dtype=np.int64)
     buckets = split_buckets(rest.size, 2 * schedule.k, rng.child(1))
-    truth = ds.ground_truth if instrument is not None else None
 
     for t in range(schedule.k):
         for arm, bucket, phase in (("w", t, PHASE_TRAIN_W), ("v", schedule.k + t, PHASE_TRAIN_V)):
-            res = margin_perceptron_pass(oracle, rest[buckets[bucket]], h[arm], phase, truth)
-            h[arm] = res.hypothesis
-            if instrument is not None and res.update_record is not None:
-                instrument(arm, t, res.update_record)
+            h[arm] = margin_perceptron_pass(oracle, rest[buckets[bucket]], h[arm], phase).hypothesis
 
     # Cross-labeling: w labels what v trained on, v labels what w trained
     # on, so no point is ever predicted by a hypothesis its label touched.

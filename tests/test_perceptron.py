@@ -157,7 +157,7 @@ def test_pass_empty_indices():
     oracle = _oracle_for(np.eye(2), np.array([1.0, 1.0]))
     h = Hypothesis(np.array([1.0, 0.0]))
     res = margin_perceptron_pass(oracle, np.array([], dtype=np.int64), h)
-    assert not res.updated and res.committed.size == 0 and res.update_record is None
+    assert not res.updated and res.committed.size == 0
     assert res.hypothesis is h
 
 
@@ -215,20 +215,6 @@ def test_pass_breaks_margin_ties_by_index():
     margin_perceptron_pass(oracle, np.arange(3), h)
     seen = [rec.index for rec in oracle.transcript.records()]
     assert seen == [2, 0, 1]
-
-
-def test_pass_update_record_fields():
-    w_truth = np.array([0.0, 1.0])
-    h = Hypothesis(np.array([1.0, 1.0]))
-    pts = np.array([[R2, -R2]])  # h predicts 0 -> +1? margin 0; truth says -1
-    oracle = _oracle_for(pts, w_truth)
-    res = margin_perceptron_pass(oracle, np.arange(1), h, ground_truth=w_truth)
-    assert res.updated and res.committed.tolist() == [0]
-    rec = res.update_record
-    assert rec is not None and rec.point_index == 0
-    assert 0.0 <= rec.r <= 1.0
-    assert rec.tan_after <= rec.tan_before + 1e-12
-    assert rec.margin == pytest.approx(abs(float(h.w @ pts[0])))
 
 
 def test_pass_flips_on_annihilation():

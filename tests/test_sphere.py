@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sdlc.sphere
 from sdlc.datasets import LabeledDataset, gen_uniform_sphere, predict_labels
-from sdlc.geometry import RngStream, angle, predict_sign, sample_sphere, sample_sphere_batch
-from sdlc.perceptron import Hypothesis, update_or_flip
+from sdlc.geometry import RngStream, angle, predict_sign, sample_sphere, sample_sphere_batch, tan_theta
+from sdlc.perceptron import Hypothesis, margin_perceptron_pass, update_or_flip
 from sdlc.sphere import (
     DEFAULT_C_INIT,
     PHASE_CROSS,
@@ -242,26 +243,40 @@ def test_run_mistakes_land_well_under_n():
     assert res.mistakes < 2000
 
 
-def test_run_instrument_sees_contracting_arms():
+def test_run_arms_contract_toward_the_truth(monkeypatch):
+    # The learner never sees the truth; an observer wrapping the arms'
+    # pass measures each update's geometry from outside.
     ds = gen_uniform_sphere(4000, 6, RngStream(3, 0))
-    chains = {"w": [], "v": []}
-    res = run_sphere(
-        ds, make_schedule(4000, 6, 0.1), RngStream(3, 1),
-        instrument=lambda arm, t, rec: chains[arm].append((t, rec)),
-    )
-    assert chains["w"] and chains["v"]
-    for arm in ("w", "v"):
-        rounds = [t for t, _ in chains[arm]]
+    truth = ds.ground_truth
+    calls = {PHASE_TRAIN_W: 0, PHASE_TRAIN_V: 0}
+    chains = {PHASE_TRAIN_W: [], PHASE_TRAIN_V: []}
+
+    def observed_pass(oracle, indices, h, phase, points=None):
+        res = margin_perceptron_pass(oracle, indices, h, phase, points)
+        t = calls[phase]
+        calls[phase] += 1
+        if res.updated:
+            x = oracle.points[indices[res.committed[-1]]]
+            sin_t = math.sin(angle(h.w, truth))
+            r = min(1.0, abs(float(h.w @ x)) / (h.norm * sin_t)) if sin_t > 0 else 0.0
+            chains[phase].append((t, r, tan_theta(h.w, truth), tan_theta(res.hypothesis.w, truth)))
+        return res
+
+    monkeypatch.setattr(sdlc.sphere, "margin_perceptron_pass", observed_pass)
+    res = run_sphere(ds, make_schedule(4000, 6, 0.1), RngStream(3, 1))
+    assert chains[PHASE_TRAIN_W] and chains[PHASE_TRAIN_V]
+    for chain in chains.values():
+        rounds = [t for t, *_ in chain]
         assert rounds == sorted(rounds)
-        for _, rec in chains[arm]:
-            assert 0.0 <= rec.r <= 1.0
-            assert rec.tan_after <= rec.tan_before + 1e-9
-        tans = [rec.tan_before for _, rec in chains[arm]]
+        for _, r, tan_before, tan_after in chain:
+            assert 0.0 <= r <= 1.0
+            assert tan_after <= tan_before + 1e-9
+        tans = [tan_before for _, _, tan_before, _ in chain]
         # each arm only ever updates, so its angle never grows between rounds
         assert all(b <= a + 1e-9 for a, b in zip(tans, tans[1:]))
     train_mistakes = res.transcript.mistakes_in_phase(PHASE_TRAIN_W) + \
         res.transcript.mistakes_in_phase(PHASE_TRAIN_V)
-    assert train_mistakes == len(chains["w"]) + len(chains["v"])
+    assert train_mistakes == len(chains[PHASE_TRAIN_W]) + len(chains[PHASE_TRAIN_V])
 
 
 def test_run_fallback_still_covers():

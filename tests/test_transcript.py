@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdlc.datasets import LabeledDataset
+from sdlc.arbitrary import strong_run
+from sdlc.datasets import LabeledDataset, gen_arbitrary
 from sdlc.errors import ProtocolError
+from sdlc.geometry import RngStream
+from sdlc.oracles import greedy_adversarial_order, random_order_run
+from sdlc.sphere import make_schedule, run_sphere
 from sdlc.transcript import LabelOracle, Transcript
 
 
@@ -167,15 +171,30 @@ def test_logged_records_do_not_alias_the_callers_arrays(entry):
     assert _state(oracle) == before
 
 
-def test_oracle_exposes_truth_for_instrumentation_only():
-    oracle = small_oracle()
-    assert oracle.instrumentation_ground_truth is not None
-    bare = LabelOracle(LabeledDataset(np.eye(2), [1, 1]))
-    assert bare.instrumentation_ground_truth is None
-
-
 def test_predicted_mask_is_a_copy():
     oracle = small_oracle()
     mask = oracle.predicted_mask()
     mask[:] = True
     assert oracle.unpredicted_indices().size == 4
+
+
+# ------------------------------------------------- no learner reads the truth
+
+_LEARNERS = {
+    "run_sphere": lambda ds: run_sphere(ds, make_schedule(ds.n, ds.d, 0.1), RngStream(2, 1)).transcript,
+    "strong_run": lambda ds: strong_run(ds, 0.05, 0.1, RngStream(2, 1)).transcript,
+    "random_order_run": lambda ds: random_order_run(ds, RngStream(2, 1)),
+    "greedy_adversarial_order": lambda ds: greedy_adversarial_order(ds, RngStream(2, 1)),
+}
+
+
+@pytest.mark.parametrize("learner", _LEARNERS.values(), ids=_LEARNERS.keys())
+@pytest.mark.parametrize("family", ["clustered", "subspace_degenerate"])
+def test_learners_never_read_the_truth(learner, family):
+    ds = gen_arbitrary(family, 600, 5, {}, RngStream(2, 0))
+    assert ds.ground_truth is not None
+    bare = LabeledDataset(ds.points, ds.labels)
+    with_truth, without = list(learner(ds).columns()), list(learner(bare).columns())
+    assert len(with_truth) == len(without)
+    for a, b in zip(with_truth, without):
+        assert all(np.array_equal(x, y) for x, y in zip(a[:4], b[:4])) and a[4] == b[4]

@@ -93,7 +93,6 @@ class BoostBudget:
     c: float
     runs_outer: int
     retries_per_round: int
-    mistake_cap: int
 
 
 def compute_boost_budget(
@@ -122,10 +121,7 @@ def compute_boost_budget(
     retries_raw = math.log(runs_outer / delta) / c_hat
     if not math.isfinite(retries_raw):
         raise ValueError(f"c_hat is too small for a finite retry count ln(rounds/delta)/c_hat, got {c_hat}")
-    retries = max(1, math.ceil(retries_raw))
-    per_run = weak_sweep_budget(d) + 1
-    return BoostBudget(eps, delta, alpha, c_hat, runs_outer, retries,
-                       runs_outer * retries * per_run)
+    return BoostBudget(eps, delta, alpha, c_hat, runs_outer, max(1, math.ceil(retries_raw)))
 
 
 @dataclass

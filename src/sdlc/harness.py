@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .arbitrary import DEFAULT_C_HAT, strong_run
+from .arbitrary import DEFAULT_C_HAT, compute_boost_budget, strong_run
 from .datasets import LabeledDataset, check_family_params, gen_arbitrary, gen_uniform_sphere
 from .geometry import RngStream
 from .oracles import (
@@ -199,8 +199,17 @@ def fit_scaling(points: list[tuple[float, float]]) -> dict:
     return {"log": one_fit(np.log(ns)), "loglog": one_fit(np.log(np.log(ns)))}
 
 
+def _check_size(n: int, d: int) -> None:
+    """Reject an n x d float64 points array, 8 n d bytes, that exceeds physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * n * d > memory:
+        raise ValueError(f"n={n} points in d={d} dimensions take {8 * n * d} bytes, "
+                         f"more than the {memory} bytes of physical memory")
+
+
 def make_dataset(family: str, n: int, d: int, params: dict | None, seed: int) -> LabeledDataset:
     """The dataset of one (family, n, d, seed), drawn from stream STREAM_DATA."""
+    _check_size(n, d)
     rng = RngStream(seed, STREAM_DATA)
     if family == "uniform":
         return gen_uniform_sphere(n, d, rng)
@@ -288,7 +297,12 @@ def run_verify(seed: int = 0) -> list[dict]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Execute the full grid; cell failures are recorded, not raised."""
+    """Execute the full grid; cell failures are recorded, not raised.
+
+    A setting that would fail every cell of a d or an (n, d) raises
+    before the first cell runs: a points array larger than memory, or a
+    boosting budget that compute_boost_budget rejects.
+    """
     rows: list[dict] = []
     errors: list[dict] = []
     oracle_results: list[dict] = []
@@ -296,6 +310,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     if cfg.mode == "verify":
         oracle_results = run_verify(cfg.seeds[0])
     else:
+        for d in cfg.d_grid:
+            for n in cfg.n_grid:
+                _check_size(n, d)
+            if cfg.mode == "arbitrary" and cfg.eps < 1.0:
+                compute_boost_budget(d, cfg.eps, cfg.delta, cfg.c_hat, cfg.alpha_hat)
         for d in cfg.d_grid:
             for n in cfg.n_grid:
                 for seed in cfg.seeds:

@@ -30,7 +30,6 @@ measure each update's geometry from outside (geometry.tan_theta).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -58,54 +57,19 @@ class Hypothesis:
         self.w = w
         self.norm = norm
 
-    def margin(self, x: np.ndarray) -> float:
-        return float(self.w @ x)
-
-
-def mp_update(h: Hypothesis, x: np.ndarray) -> Hypothesis:
-    """Apply w' = w - (w . x) x for a unit-norm mistake point x (Hypothesis rejects w' = 0)."""
-    return Hypothesis(h.w - (h.w @ x) * x)
-
 
 def update_or_flip(h: Hypothesis, x: np.ndarray) -> Hypothesis:
-    """Mistake update at x: the projection, or w -> -w when it would zero w.
+    """Mistake update at a unit-norm x: w' = w - (w . x) x, or w -> -w where w' would be zero.
 
     The point is then parallel to w, as every point is in dimension 1,
     and flipping w is the norm-preserving move that corrects it.
     """
     if h.w.size > 1:
         try:
-            return mp_update(h, x)
+            return Hypothesis(h.w - (h.w @ x) * x)
         except DegenerateHypothesisError:
             pass
     return Hypothesis(-h.w)
-
-
-def decay_bound(theta: float, r: float) -> float:
-    """Upper bound on tan^2 after a mistake with margin fraction r.
-
-    Valid for theta in [0, pi/2); the factor is (1 - r^2) tan^2(theta).
-    """
-    if not 0.0 <= theta < math.pi / 2:
-        raise ValueError(f"theta must be in [0, pi/2), got {theta}")
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"margin fraction r must be in [0, 1], got {r}")
-    t = math.tan(theta)
-    return (1.0 - r * r) * t * t
-
-
-def margin_mistake_bound(alpha: float, beta: float) -> float:
-    """Cap on updates forced by margin-beta mistakes, starting at correlation alpha.
-
-    If every update point satisfies |x . w| >= beta ||w|| while w keeps
-    correlation at least alpha with a unit normal, at most
-    (2 / beta^2) ln(1 / alpha) updates can occur.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
-    return (2.0 / (beta * beta)) * math.log(1.0 / alpha)
 
 
 # First window of the first stretch, and the floor of every later one,

@@ -124,8 +124,6 @@ def initialize_hypothesis(
 class SphereRunResult:
     transcript: Transcript
     schedule: SphereSchedule
-    hypothesis_w: Hypothesis
-    hypothesis_v: Hypothesis | None
 
     @property
     def mistakes(self) -> int:
@@ -153,9 +151,9 @@ def run_sphere(
     if schedule.fallback:
         # A single arm over the whole set, re-sorting by margin after every update.
         h = Hypothesis(sample_sphere(ds.d, rng.child(0)))
-        for result in margin_sweeps(oracle, np.arange(ds.n), h, PHASE_TRAIN_W):
-            h = result.hypothesis
-        return SphereRunResult(oracle.transcript, schedule, h, None)
+        for _ in margin_sweeps(oracle, np.arange(ds.n), h, PHASE_TRAIN_W):
+            pass
+        return SphereRunResult(oracle.transcript, schedule)
 
     prefix_size = init_prefix_size(ds.n)
     prefix = np.arange(prefix_size, dtype=np.int64)
@@ -181,4 +179,4 @@ def run_sphere(
         oracle.predict_bulk(todo, predict_signs(margins), margins, PHASE_CROSS)
 
     assert oracle.all_predicted()
-    return SphereRunResult(oracle.transcript, schedule, h["w"], h["v"])
+    return SphereRunResult(oracle.transcript, schedule)

@@ -63,11 +63,6 @@ class Transcript:
     def mistakes_in_phase(self, phase: str) -> int:
         return int(sum(np.count_nonzero(c[1] != c[2]) for c in self._chunks if c[4] == phase))
 
-    def predicted_indices(self) -> np.ndarray:
-        if not self._chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([c[0] for c in self._chunks])
-
     def phases(self) -> list[str]:
         seen: list[str] = []
         for c in self._chunks:
@@ -135,10 +130,6 @@ class LabelOracle:
 
     def all_predicted(self) -> bool:
         return bool(self._predicted.all())
-
-    @property
-    def mistakes(self) -> int:
-        return self.transcript.mistakes
 
     def predict(self, index: int, prediction: int, margin: float = 0.0, phase: str = "") -> int:
         """Commit a prediction for one index; returns the revealed truth."""

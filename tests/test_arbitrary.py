@@ -38,7 +38,6 @@ def test_boost_budget_reference_values():
     b = compute_boost_budget(16, 0.01, 0.1, c_hat=1.0, alpha_hat=0.9)
     assert b.runs_outer == 44
     assert b.retries_per_round == 7  # ceil(ln(44 / 0.1))
-    assert b.mistake_cap == 44 * 7 * (weak_sweep_budget(16) + 1)
 
     assert compute_boost_budget(4, 0.5, 0.1, alpha_hat=0.5).runs_outer == 1
     # default residual fraction tracks the coverage target 1/(4d)
@@ -115,12 +114,12 @@ def test_weak_run_skips_already_predicted():
     ds = gen_uniform_sphere(200, 3, RngStream(9, 0))
     oracle = LabelOracle(ds)
     first = weak_run(oracle, RngStream(9, 1).child(0))
-    done = set(oracle.transcript.predicted_indices().tolist())
+    done = {r.index for r in oracle.transcript.records()}
     assert len(done) == first.revealed
     second = weak_run(oracle, RngStream(9, 1).child(1))
-    new = oracle.transcript.predicted_indices()[first.revealed:]
-    assert new.size == second.revealed
-    assert done.isdisjoint(new.tolist())
+    new = [r.index for r in oracle.transcript.records()][first.revealed:]
+    assert len(new) == second.revealed
+    assert done.isdisjoint(new)
 
 
 def _weak_run_reference(ds, rng, phase="weak"):
@@ -138,9 +137,9 @@ def _weak_run_reference(ds, rng, phase="weak"):
         if not remaining:
             break
         while remaining:
-            pos = max(remaining, key=lambda p: (abs(h.margin(U[p])), -p))
+            pos = max(remaining, key=lambda p: (abs(float(h.w @ U[p])), -p))
             remaining.remove(pos)
-            margin = h.margin(U[pos])
+            margin = float(h.w @ U[pos])
             pred = predict_sign(margin)
             truth = oracle.predict(int(orig[pos]), pred, margin, phase)
             labels.append((int(orig[pos]), truth))
@@ -199,8 +198,9 @@ def test_strong_run_reaches_coverage_on_uniform_data():
     assert res.coverage >= 0.9
     assert res.rounds_used <= res.budget.runs_outer
     assert res.attempts <= res.budget.runs_outer * res.budget.retries_per_round
-    assert res.mistakes <= res.budget.mistake_cap
-    seen = res.transcript.predicted_indices()
+    per_run = weak_sweep_budget(ds.d) + 1
+    assert res.mistakes <= res.budget.runs_outer * res.budget.retries_per_round * per_run
+    seen = [r.index for r in res.transcript.records()]
     assert len(seen) == len(set(seen)) == res.labeled_count
 
 
@@ -230,7 +230,7 @@ def test_strong_run_returns_partial_when_the_transform_finds_no_certificate():
     assert res.attempts <= res.budget.runs_outer * res.budget.retries_per_round
     wrong = sum(r.prediction != r.truth for r in res.transcript.records())
     assert res.mistakes == wrong
-    seen = res.transcript.predicted_indices()
+    seen = np.array([r.index for r in res.transcript.records()], dtype=np.int64)
     assert np.unique(seen).size == seen.size == res.labeled_count
     # The boosting stopped because the next weak run's transform fails on
     # what is left, not because a budget ran out.

@@ -82,3 +82,28 @@ def test_per_layer_metrics_match_benchmark_json(spans):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     produced = set(spans.metric_units()) | set(workloads.ROUND_METRICS)
     assert {m["name"] for m in declared} == produced
+
+
+def test_traced_grids_run_clean(spans):
+    # A hook that reads a removed result field would raise inside a cell,
+    # which run_experiment records as a cell error.
+    from sdlc import harness
+
+    configs = [
+        harness.ExperimentConfig(mode="sphere", d_grid=[3], n_grid=[100, 300], seeds=[0, 1]),
+        harness.ExperimentConfig(mode="arbitrary", d_grid=[3], n_grid=[300], seeds=[0], eps=0.1,
+                                 family="clustered"),
+        harness.ExperimentConfig(mode="baseline", d_grid=[3], n_grid=[300], seeds=[0], order="random"),
+        harness.ExperimentConfig(mode="baseline", d_grid=[3], n_grid=[300], seeds=[0], order="greedy"),
+    ]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.start_round()
+        reports = [harness.run_experiment(cfg) for cfg in configs]
+        metrics = tracer.finish_round()["per_layer"]
+    finally:
+        tracer.uninstall()
+    assert [report.errors for report in reports] == [[]] * len(configs)
+    assert tracer.problems == []
+    assert metrics["perceptron.passes"] > 0 and metrics["arbitrary.weak_runs"] > 0

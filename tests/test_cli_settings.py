@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sdlc.cli import main
+from sdlc.cli import build_parser, main
 from sdlc.datasets import FAMILIES, LabeledDataset, save_jsonl
 from sdlc.harness import ORDERS, ExperimentConfig
 
@@ -155,6 +155,10 @@ def test_params_must_be_an_object(family, tmp_path, monkeypatch, capsys):
     ({"alpha_hat": 1.5}, "alpha_hat must be in (0, 1)"),
     ({"seed": 1.5}, "seed must be an integer"),
     ({"mode": None}, "config field 'mode' is missing"),
+    # every cell would fail alike: checked over the grid before the first one
+    ({"mode": "arbitrary", "n_grid": [100], "seeds": [0, 1], "c_hat": 5e-324}, "c_hat is too small"),
+    ({"n_grid": [200, 10**12]}, "n=1000000000000 "),
+    ({"mode": "baseline", "d_grid": [3, 10**12]}, "d=1000000000000 "),
 ])
 def test_bad_report_config_exits_1_before_any_cell(config, needle, tmp_path, monkeypatch, capsys):
     drawn = _no_datasets(monkeypatch)
@@ -192,6 +196,18 @@ def test_c_hat_with_infinite_retries_exits_1(capsys):
     _assert_one_line_error(capsys, "c_hat")
 
 
+@pytest.mark.parametrize("command, size, needle", [
+    ("generate", ["--n", "1000000000000", "--d", "5"], "n=1000000000000 "),
+    ("run-sphere", ["--d", "1000000000000"], "d=1000000000000 "),
+    ("baseline", ["--n", "1000000000000", "--d", "1000000000000"], "n=1000000000000 "),
+])
+def test_points_larger_than_memory_exit_1_before_drawing(command, size, needle, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, *size, "--out", str(out)]) == 1
+    _assert_one_line_error(capsys, needle, "physical memory")
+    assert not out.exists()
+
+
 def test_run_ignores_a_truth_orthogonal_to_the_data(tmp_path, capsys):
     # Points in the e1-e2 plane, every label +1: consistent with the truth
     # e3 (sign 0 reads +1), which no retained direction can express.
@@ -219,7 +235,7 @@ def test_one_config_file_serves_a_run_and_a_report(tmp_path, capsys):
     assert [row["seed"] for row in json.loads((tmp_path / "rep.json").read_text())["rows"]] == [5]
 
 
-# ------------------------------------------------------ config-file fuzzing
+# ------------------------------------------- config-file and argv fuzzing
 
 _OUT = "<out>"  # stands in for a path in the example's own directory
 _JUNK = st.one_of(
@@ -227,12 +243,15 @@ _JUNK = st.one_of(
     st.floats(-2.0, 2.0) | st.sampled_from([math.nan, math.inf, -math.inf, 1e300]),
     st.lists(st.integers(-1, 6) | st.booleans() | st.text(max_size=2), max_size=3),
 )
-# Values a subcommand accepts, kept small: n <= 200 and d <= 6.
+# Values a subcommand accepts, kept small: n <= 200 and d <= 6, or else
+# 10**12, which is rejected before anything is allocated.
+_N = st.integers(1, 200) | st.just(10**12)
+_D = st.integers(1, 6) | st.just(10**12)
 _VALID = {
     "mode": st.sampled_from(["sphere", "arbitrary", "baseline"]),
-    "n": st.integers(1, 200), "d": st.integers(1, 6), "seed": st.integers(0, 2**64 - 1),
-    "n_grid": st.lists(st.integers(1, 200), min_size=1, max_size=2),
-    "d_grid": st.lists(st.integers(1, 6), min_size=1, max_size=2),
+    "n": _N, "d": _D, "seed": st.integers(0, 2**64 - 1),
+    "n_grid": st.lists(_N, min_size=1, max_size=2),
+    "d_grid": st.lists(_D, min_size=1, max_size=2),
     "seeds": st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True),
     "delta": st.floats(0.01, 0.99), "eps": st.floats(0.01, 1.0),
     "c_prime": st.floats(0.1, 10.0), "c_init": st.floats(0.1, 20.0), "c_hat": st.floats(0.05, 1.0),
@@ -257,20 +276,39 @@ def _configs(draw):
     return config
 
 
-@settings(max_examples=100, deadline=None, derandomize=True,
+def _flag(key: str) -> str:
+    return "--params" if key == "family_params" else "--" + key.replace("_", "-")
+
+
+# The slowest example took 46 ms (2-core x86 box, Python 3.11): the
+# deadline is over 40 times that.
+@settings(max_examples=100, deadline=2000, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["generate", "run-sphere", "run-arbitrary", "baseline", "report"]),
-       config=_configs())
-def test_config_files_never_crash(command, config):
+       config=_configs(), data=st.data())
+def test_config_files_never_crash(command, config, data):
+    # Settings the subcommand has a flag for (its flags default to None)
+    # may move from the file to the command line, as text. An --out there
+    # is any text's path, so only the example's own path goes.
+    flagged = {k for k, v in vars(build_parser().parse_args([command])).items() if v is None}
+    keys = sorted(k for k in flagged & set(config) if k != "out" or config[k] == _OUT)
+    on_argv = data.draw(st.sets(st.sampled_from(keys)), label="on argv") if keys else set()
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.json")
         config = {k: out if v == _OUT else v for k, v in config.items()}
         path = os.path.join(tmp, "cfg.json")
+        argv = [command, "--config", path]
+        for key in sorted(on_argv):
+            value = config.pop(key)
+            argv += [_flag(key), value if isinstance(value, str) else json.dumps(value)]
         with open(path, "w") as fh:
             json.dump(config, fh)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([command, "--config", path])
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the command line
+                code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
     if code == 1:

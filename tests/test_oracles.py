@@ -258,7 +258,7 @@ def test_random_order_full_coverage_and_phase():
 
     ds = gen_uniform_sphere(300, 3, RngStream(5, 0))
     transcript = random_order_run(ds, RngStream(5, 2))
-    assert sorted(transcript.predicted_indices()) == list(range(300))
+    assert sorted(r.index for r in transcript.records()) == list(range(300))
     assert transcript.phases() == ["random-order"]
 
 
@@ -285,7 +285,7 @@ def _check_random_order_against_reference(n):
     oracle = LabelOracle(ds)
     for idx in order:
         x = ds.points[idx]
-        margin = h.margin(x)
+        margin = float(h.w @ x)
         pred = 1 if margin >= 0.0 else -1
         truth = oracle.predict(int(idx), pred, margin, "random-order")
         if truth != pred:
@@ -330,9 +330,9 @@ def test_greedy_matches_per_point_reference(data):
     oracle = LabelOracle(ds)
     remaining = list(range(ds.n))
     while remaining:
-        idx = min(remaining, key=lambda j: (abs(h.margin(ds.points[j])), j))
+        idx = min(remaining, key=lambda j: (abs(float(h.w @ ds.points[j])), j))
         remaining.remove(idx)
-        margin = h.margin(ds.points[idx])
+        margin = float(h.w @ ds.points[idx])
         pred = 1 if margin >= 0.0 else -1
         if oracle.predict(idx, pred, margin, "greedy-order") != pred:
             h = update_or_flip(h, ds.points[idx])

@@ -14,12 +14,9 @@ from sdlc.geometry import RngStream, angle, predict_signs, sample_sphere_batch, 
 from sdlc.perceptron import (
     Hypothesis,
     _commit_ordered,
-    decay_bound,
-    margin_mistake_bound,
     margin_perceptron_pass,
     margin_sweeps,
     max_margin_key,
-    mp_update,
     update_or_flip,
 )
 from sdlc.transcript import LabelOracle
@@ -36,7 +33,7 @@ def test_hypothesis_validation():
         Hypothesis(np.array([1.0, np.nan]))
     h = Hypothesis(np.array([3.0, 4.0]))
     assert h.norm == pytest.approx(5.0)
-    assert h.margin(np.array([0.0, 1.0])) == pytest.approx(4.0)
+    assert float(h.w @ np.array([0.0, 1.0])) == pytest.approx(4.0)
 
 
 def test_hypothesis_boundary_prediction_is_positive():
@@ -47,22 +44,16 @@ def test_hypothesis_boundary_prediction_is_positive():
 
 # -------------------------------------------------------------------- update
 
-def test_mp_update_example():
+def test_projection_update_example():
     h = Hypothesis(np.array([1.0, 0.0]))
-    out = mp_update(h, np.array([R2, R2]))
+    out = update_or_flip(h, np.array([R2, R2]))
     assert np.allclose(out.w, [0.5, -0.5], atol=1e-15)
 
 
-def test_mp_update_orthogonal_is_identity():
+def test_projection_orthogonal_is_identity():
     h = Hypothesis(np.array([1.0, 0.0]))
-    out = mp_update(h, np.array([0.0, 1.0]))
+    out = update_or_flip(h, np.array([0.0, 1.0]))
     assert np.allclose(out.w, h.w)
-
-
-def test_mp_update_annihilation():
-    h = Hypothesis(np.array([0.0, 2.0]))
-    with pytest.raises(DegenerateHypothesisError):
-        mp_update(h, np.array([0.0, 1.0]))
 
 
 def test_update_or_flip():
@@ -72,44 +63,20 @@ def test_update_or_flip():
     assert update_or_flip(Hypothesis(np.array([0.0, 2.0])), np.array([0.0, 1.0])).w.tolist() == [0.0, -2.0]
     # otherwise it is the projection update
     h, x = Hypothesis(np.array([1.0, 0.0])), np.array([R2, R2])
-    assert np.array_equal(update_or_flip(h, x).w, mp_update(h, x).w)
+    assert np.array_equal(update_or_flip(h, x).w, h.w - (h.w @ x) * x)
 
 
-def test_mp_update_removes_component():
+def test_projection_removes_component():
     rng = RngStream(21)
     for i in range(20):
         w = rng.child(i).gen.normal(size=6)
         x = sample_sphere_batch(1, 6, rng.child(100 + i))[0]
-        out = mp_update(Hypothesis(w), x)
+        out = update_or_flip(Hypothesis(w), x)
         assert abs(float(out.w @ x)) <= 1e-12 * np.linalg.norm(w)
         assert out.norm <= np.linalg.norm(w) + 1e-12
 
 
-# --------------------------------------------------------------------- bounds
-
-def test_decay_bound_examples():
-    assert decay_bound(math.pi / 4, 0.6) == pytest.approx(0.64, abs=1e-12)
-    assert decay_bound(0.0, 0.3) == 0.0
-    assert decay_bound(1.0, 1.0) == 0.0
-
-
-def test_decay_bound_domain():
-    for theta, r in [(math.pi / 2, 0.5), (-0.1, 0.5), (1.0, 1.5), (1.0, -0.1)]:
-        with pytest.raises(ValueError):
-            decay_bound(theta, r)
-
-
-def test_margin_mistake_bound_examples():
-    assert margin_mistake_bound(0.5, 1.0) == pytest.approx(2.0 * math.log(2.0))
-    assert margin_mistake_bound(0.125, 0.125) == pytest.approx(128.0 * math.log(8.0))
-    assert margin_mistake_bound(1.0, 1.0) == 0.0
-
-
-def test_margin_mistake_bound_domain():
-    for alpha, beta in [(0.0, 0.5), (1.1, 0.5), (0.5, 0.0), (0.5, 1.5)]:
-        with pytest.raises(ValueError):
-            margin_mistake_bound(alpha, beta)
-
+# ------------------------------------------------------------------ decay law
 
 def test_decay_law_on_disagreement_mistakes():
     # Randomized triples (w, w*, x) with x drawn from the disagreement
@@ -140,7 +107,7 @@ def test_decay_law_on_disagreement_mistakes():
             t_before = tan_theta(w, w_star)
             t_after = tan_theta(w_next, w_star)
             assert t_after <= t_before + 1e-9
-            bound = decay_bound(theta, min(1.0, r))
+            bound = (1.0 - min(1.0, r) ** 2) * math.tan(theta) ** 2
             assert t_after * t_after <= bound + 1e-9
             collected += 1
     assert collected >= 2000
@@ -249,7 +216,7 @@ def test_sweeps_run_until_a_pass_without_mistake():
     assert len(results) > 1
     assert all(r.updated for r in results[:-1]) and not results[-1].updated
     assert sum(r.committed.size for r in results) == len(oracle.transcript) == indices.size
-    assert sorted(oracle.transcript.predicted_indices().tolist()) == indices.tolist()
+    assert sorted(r.index for r in oracle.transcript.records()) == indices.tolist()
     # a caller that stops early leaves the rest unpredicted
     oracle = _oracle_for(pts, np.array([0.3, -1.0, 0.5]))
     first = list(islice(margin_sweeps(oracle, indices, h, "s"), 1))
@@ -289,7 +256,7 @@ def test_ordered_kernel_commits_the_stable_argsort_prefix(data):
     stop = first + 1 if first < m else m
     assert hit == (first < m)
     assert committed.tolist() == order[:stop].tolist()
-    assert oracle.transcript.predicted_indices().tolist() == indices[order[:stop]].tolist()
+    assert [r.index for r in oracle.transcript.records()] == indices[order[:stop]].tolist()
     assert np.flatnonzero(oracle.predicted_mask()).tolist() == sorted(indices[order[:stop]].tolist())
 
 

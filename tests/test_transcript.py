@@ -28,7 +28,7 @@ def test_predict_reveals_truth_and_logs():
     oracle = small_oracle()
     truth = oracle.predict(0, -1, margin=0.3, phase="x")
     assert truth == 1
-    assert oracle.mistakes == 1
+    assert oracle.transcript.mistakes == 1
     rec = next(oracle.transcript.records())
     assert (rec.index, rec.prediction, rec.truth, rec.margin, rec.phase) == (0, -1, 1, 0.3, "x")
 

@@ -7,8 +7,10 @@ every dataset is linearly separable by construction.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,11 @@ FAMILY_PARAMS = {
 # rate is below about 1e-4 exhausts them and the parameters are rejected
 # as infeasible, instead of looping forever.
 _CLUSTER_MAX_DRAWS = 100_000
+# Clustered draws per block, and the rows of a pass that scores every shift.
+_CLUSTER_BLOCK = 1 << 14
+# Sizes the other scoring passes of _draw_clustered: the fastest power of two
+# from 2^10 to 2^15 on rejection-heavy clustered sets.
+_CLUSTER_WINDOW = 1 << 12
 # Rows that save_jsonl turns into Python floats at a time.
 _SAVE_BLOCK = 1 << 12
 # Rows that LabeledDataset checks at a time.
@@ -141,24 +148,82 @@ def _gen_clustered(n: int, d: int, params: dict, rng: RngStream) -> LabeledDatas
             centers.append(side * w_star)
         else:
             centers.append(np.sqrt(max(0.0, 1.0 - dist * dist)) * tangent + side * dist * w_star)
-    prng = rng.child(3)
-    points = np.empty((n, d))
-    for i in range(n):
-        c = centers[i % num_clusters]
-        for _ in range(_CLUSTER_MAX_DRAWS):
-            p = c + spread * prng.gen.normal(size=d)
-            norm = np.linalg.norm(p)
-            if norm < 1e-12:
-                continue
-            p /= norm
-            if abs(float(p @ w_star)) >= floor:
-                break
-        else:
-            raise InfeasibleParametersError(
-                f"no draw around cluster {i % num_clusters} reached margin_floor {floor} "
-                f"in {_CLUSTER_MAX_DRAWS} tries; lower margin_floor or raise spread")
-        points[i] = p
+    points = _draw_clustered(n, np.array(centers), spread, floor, w_star, rng.child(3))
     return LabeledDataset(points, predict_labels(points, w_star), w_star)
+
+
+def _draw_clustered(n: int, centers: np.ndarray, spread: float, floor: float,
+                    w_star: np.ndarray, prng: RngStream) -> np.ndarray:
+    """Point i takes draws c + spread * z around centre c = centers[i % K]
+    until one, normalised, has |x . w*| >= floor.
+
+    Bit-identical to one normal(size=d) draw and one test at a time: a
+    block of draws holds the same numbers, and np.vecdot takes each row's
+    norm and margin as the one-row dot products do. Draw t belongs to
+    point t - r, r the rejections before it, so its centre is (t - r) % K.
+    A window of draws is scored in one pass under each shift of r that it
+    may reach, all K of them when that is few, and the walk through it
+    costs one bisect per rejection. A window whose shifts run out ends at
+    that rejection, and the next window starts after it.
+    """
+    num_clusters, d = centers.shape
+    points = np.empty((n, d))
+    i = tries = 0  # the next point, and its draws rejected so far
+    seen = rejected = 0  # draws walked and rejected, for the block and window sizes
+    while i < n:
+        # The draws the points left need at the acceptance rate so far, rounded up.
+        m = min(_CLUSTER_BLOCK, -(-(n - i) * (seen + 1) // (seen - rejected + 1)))
+        z = prng.gen.normal(size=(m, d))
+        z *= spread
+        j = 0
+        while j < m and i < n:
+            # About sqrt(_CLUSTER_WINDOW / (rate d)) draws, and twice their expected
+            # rejections as shifts, weigh a pass's fixed cost against scoring unused
+            # shifts. With all K shifts the walk wraps round them and never runs
+            # out, so the window grows to _CLUSTER_BLOCK rows of scores.
+            rate = (rejected + 1) / (seen + 1)
+            width = min(m - j, max(1, math.isqrt(int(_CLUSTER_WINDOW / (rate * d)))))
+            shifts = 1 + math.ceil(2 * rate * width)
+            if shifts >= num_clusters:
+                shifts = num_clusters
+                width = min(m - j, max(width, _CLUSTER_BLOCK // num_clusters))
+            owner = (i + np.arange(width) - np.arange(shifts)[:, None]) % num_clusters
+            cand = centers[owner]
+            cand += z[j:j + width]
+            norms = np.sqrt(np.vecdot(cand, cand))
+            with np.errstate(invalid="ignore"):
+                cand /= norms[..., None]
+            accept = (norms >= 1e-12) & (np.abs(np.vecdot(cand, w_star)) >= floor)
+            # The rejections under shift s are flat[starts[s]:starts[s + 1]], as s * width + u.
+            flat = np.flatnonzero(~accept)
+            starts = [0] + np.searchsorted(flat, np.arange(1, shifts + 1) * width).tolist()
+            flat = flat.tolist()
+            u = s = 0
+            while True:
+                key = s % shifts
+                k = bisect.bisect_left(flat, key * width + u, starts[key], starts[key + 1])
+                q = flat[k] - key * width if k < starts[key + 1] else width
+                take = min(q - u, n - i)
+                if take:
+                    points[i:i + take] = cand[key, u:u + take]
+                    i += take
+                    tries = 0
+                if i == n or q == width:
+                    u = q
+                    break
+                tries += 1
+                if tries == _CLUSTER_MAX_DRAWS:
+                    raise InfeasibleParametersError(
+                        f"no draw around cluster {i % num_clusters} reached margin_floor {floor} "
+                        f"in {_CLUSTER_MAX_DRAWS} tries; lower margin_floor or raise spread")
+                s += 1
+                u = q + 1
+                if s == shifts < num_clusters:
+                    break
+            seen += u
+            rejected += s
+            j += u
+    return points
 
 
 def _gen_low_margin(n: int, d: int, params: dict, rng: RngStream) -> LabeledDataset:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sdlc.cli import main
 from sdlc.datasets import (
+    _CLUSTER_MAX_DRAWS,
     ARBITRARY_FAMILIES,
     LabeledDataset,
     check_family_params,
@@ -22,8 +23,8 @@ from sdlc.datasets import (
     save_jsonl,
     split_buckets,
 )
-from sdlc.errors import MalformedRecordError
-from sdlc.geometry import RngStream
+from sdlc.errors import InfeasibleParametersError, MalformedRecordError
+from sdlc.geometry import RngStream, sample_sphere
 
 
 # ------------------------------------------------------------ LabeledDataset
@@ -176,6 +177,21 @@ def test_low_margin_floor():
     assert np.all(margins <= gamma + 1e-9)
 
 
+@pytest.mark.parametrize("n, d, params, seed, digest", [
+    (20_000, 10, {}, 7104, "5e2094d6533127d5c17b82aa774c238f8f8c666bc3fd3dcf766e8959d37d8e8a"),
+    (301, 1, {}, 13, "d653e87932c621296ac97112e3fba8f736d3f6c0658e6d4a1547ad349dcf2bb7"),
+    (301, 2, {"gamma": 0.3}, 13, "e2f0314e583da07143b3145ded2bb8eb6b4fb0544a0189aa573bc802ef0791a3"),
+    (301, 12, {"gamma": 0.01}, 14, "3971824557fc431f153faa16c13efc4384e6d0f6b963b92fa366a498b687f340"),
+])
+def test_low_margin_draws_are_pinned(n, d, params, seed, digest):
+    ds = gen_arbitrary("low_margin", n, d, params, RngStream(seed))
+    h = hashlib.sha256()
+    h.update(ds.points.tobytes())
+    h.update(ds.labels.astype("i1").tobytes())
+    h.update(ds.ground_truth.tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_low_margin_rejects_bad_gamma():
     with pytest.raises(ValueError):
         gen_arbitrary("low_margin", 4, 2, {"gamma": 1.5}, RngStream(0))
@@ -219,6 +235,93 @@ def test_clustered_draws_are_pinned(n, d, seed, digest):
     h.update(ds.labels.astype("i1").tobytes())
     h.update(ds.ground_truth.tobytes())
     assert h.hexdigest() == digest
+
+
+def _clustered_reference(n, d, params, rng):
+    """The clustered generator as one draw at a time: the points the block draws must match."""
+    num_clusters = params.get("num_clusters", min(5, n))
+    spread = float(params.get("spread", 0.02))
+    offset = float(params.get("boundary_offset", 0.1))
+    floor = float(params.get("margin_floor", 0.02))
+    w_star = sample_sphere(d, rng.child(1))
+    crng = rng.child(2)
+    centers = []
+    for j in range(num_clusters):
+        raw = sample_sphere(d, crng)
+        tangent = raw - float(raw @ w_star) * w_star
+        tnorm = np.linalg.norm(tangent)
+        if tnorm < 1e-12:
+            tangent = np.zeros(d)
+        else:
+            tangent /= tnorm
+        dist = offset * (1.0 + crng.gen.uniform())
+        side = 1.0 if j % 2 == 0 else -1.0
+        if d == 1:
+            centers.append(side * w_star)
+        else:
+            centers.append(np.sqrt(max(0.0, 1.0 - dist * dist)) * tangent + side * dist * w_star)
+    prng = rng.child(3)
+    points = np.empty((n, d))
+    for i in range(n):
+        c = centers[i % num_clusters]
+        for _ in range(_CLUSTER_MAX_DRAWS):
+            p = c + spread * prng.gen.normal(size=d)
+            norm = np.linalg.norm(p)
+            if norm < 1e-12:
+                continue
+            p /= norm
+            if abs(float(p @ w_star)) >= floor:
+                break
+        else:
+            raise InfeasibleParametersError(
+                f"no draw around cluster {i % num_clusters} reached margin_floor {floor} "
+                f"in {_CLUSTER_MAX_DRAWS} tries; lower margin_floor or raise spread")
+        points[i] = p
+    return LabeledDataset(points, predict_labels(points, w_star), w_star)
+
+
+def _outcome(make):
+    try:
+        ds = make()
+    except InfeasibleParametersError as exc:
+        return type(exc), str(exc)
+    return ds.points.tobytes(), ds.labels.tobytes(), ds.ground_truth.tobytes()
+
+
+@pytest.mark.parametrize("n, d, params, seed", [
+    (50_000, 10, {}, 7102),
+    (300, 1, {}, 13),
+    (300, 6, {}, 13),
+    (300, 12, {}, 13),
+    (500, 1, {"spread": 0.5, "margin_floor": 0.3}, 3),
+    (400, 2, {"spread": 0.5, "margin_floor": 0.3}, 4),
+    (300, 4, {"num_clusters": 300, "spread": 0.5, "margin_floor": 0.3}, 5),
+    (2000, 3, {"num_clusters": 2000}, 8),
+    # a window here runs out of shifts, and the next one starts after that rejection
+    (5000, 10, {"num_clusters": 5000, "margin_floor": 0.06}, 3),
+    (4000, 3, {"spread": 0.3, "margin_floor": 0.15}, 6),
+    (5000, 4, {"spread": 0.5, "margin_floor": 0.3}, 9),
+    # about 104,000 rejections in all: the draw cap is per point, not per run
+    (100, 3, {"spread": 0.3, "margin_floor": 0.92}, 0),
+    (10, 3, {"margin_floor": 0.99}, 0),
+])
+def test_clustered_block_draws_match_one_draw_at_a_time(n, d, params, seed):
+    # rejections shift every later point to the next centre, in every block and window
+    new = _outcome(lambda: gen_arbitrary("clustered", n, d, params, RngStream(seed, 0)))
+    assert new == _outcome(lambda: _clustered_reference(n, d, params, RngStream(seed, 0)))
+
+
+def test_clustered_peak_memory():
+    import tracemalloc
+
+    # one block of draws and one scoring pass on top of the points array
+    tracemalloc.start()
+    try:
+        ds = gen_arbitrary("clustered", 200_000, 10, {}, RngStream(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ds.points.nbytes
 
 
 def test_cli_generate_rejects_unreachable_margin_floor(tmp_path, capsys):

@@ -168,32 +168,30 @@ def strong_run(
     oracle = LabelOracle(ds)
     n = oracle.n
     if eps >= 1.0:
-        labeled = n - oracle.unpredicted_indices().size
-        return StrongRunResult(oracle.transcript, None, 0, 0, labeled, n, False)
+        return StrongRunResult(oracle.transcript, None, 0, 0, 0, n, False)
     budget = compute_boost_budget(oracle.d, eps, delta, c_hat, alpha_hat)
     attempts = 0
     rounds_used = 0
+    left = n  # unpredicted points; each weak run reports what it revealed
     for rnd in range(budget.runs_outer):
-        if oracle.unpredicted_indices().size <= eps * n:
+        if left <= eps * n:
             break
         advanced = False
         for _ in range(budget.retries_per_round):
-            if oracle.unpredicted_indices().size <= eps * n:
-                advanced = True
-                break
             attempt_rng = rng.child(attempts)
             attempts += 1
             try:
                 result = weak_run(oracle, attempt_rng, phase=f"weak-round-{rnd}")
             except NoConvergenceError:
                 break
-            if result.terminated_by == "coverage":
+            left -= result.revealed
+            if result.terminated_by == "coverage" or left <= eps * n:
                 advanced = True
                 break
         rounds_used += 1
         if not advanced:
             break
-    labeled = n - oracle.unpredicted_indices().size
+    labeled = n - left
     partial = labeled < (1.0 - eps) * n
     return StrongRunResult(oracle.transcript, budget, rounds_used, attempts,
                            labeled, n, partial)

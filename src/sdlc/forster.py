@@ -68,11 +68,18 @@ def rip_check(X: np.ndarray, delta: float) -> RipReport:
     return RipReport(float(eigvals[0]), dev, d, delta)
 
 
+def _row_norms(Y: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(Y, axis=1) of a real Y, bit for bit, without its conj() copy."""
+    return np.sqrt(np.add.reduce(Y * Y, axis=1))
+
+
 def _normalize_rows(Y: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(Y, axis=1)
+    """Divide each row of Y by its norm, in place; Y must be an array the caller owns."""
+    norms = _row_norms(Y)
     if np.any(norms < 1e-300):
         raise ValueError("map is singular at some point (Ax = 0)")
-    return Y / norms[:, None]
+    Y /= norms[:, None]
+    return Y
 
 
 @dataclass
@@ -100,7 +107,7 @@ class ForsterOutput:
 
 
 def _try_extract(
-    X: np.ndarray, Y: np.ndarray, eigvecs: np.ndarray
+    X: np.ndarray, x_norms: np.ndarray, Y: np.ndarray, eigvecs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Smallest k whose top-k eigenspace holds >= k/d of the points.
 
@@ -108,20 +115,21 @@ def _try_extract(
     transform can be badly conditioned, inflating float noise on points
     that lie exactly in the subspace. Membership is decided back in the
     original frame, against an SVD basis of the candidate block.
-    Returns (member mask, (d, k) orthonormal basis).
+    x_norms are the row norms of X. Returns (member mask, (d, k)
+    orthonormal basis).
     """
     n, d = Y.shape
-    unit_X = _normalize_rows(X)
+    unit_X = X / x_norms[:, None]
     for k in range(1, d):
         U = eigvecs[:, d - k:]
         resid = Y - (Y @ U) @ U.T
-        cand = np.linalg.norm(resid, axis=1) <= CANDIDATE_TOL
+        cand = _row_norms(resid) <= CANDIDATE_TOL
         if int(cand.sum()) < 1 or cand.sum() / n < k / d - 1e-12:
             continue
         _, _, vt = np.linalg.svd(unit_X[cand], full_matrices=False)
         basis = vt[:k].T
         strict = unit_X - (unit_X @ basis) @ basis.T
-        inside = np.linalg.norm(strict, axis=1) <= RESIDUAL_TOL
+        inside = _row_norms(strict) <= RESIDUAL_TOL
         count = int(inside.sum())
         if count >= 1 and count / n >= k / d - 1e-12:
             return inside, basis
@@ -135,13 +143,18 @@ def forster_transform(X: np.ndarray, delta: float, max_iters: int | None = None)
     moment M, and either certifies isotropy (lambda_min >= 1/d - delta),
     multiplies A by M^{-1/2}, or - when the spectrum collapses or stops
     improving - extracts the dense subspace the dynamics exposed and
-    recurses inside it.
+    recurses inside it. Each iterate's row norms are taken once; the
+    first iterate (A = I) is X over the norms of the input check, with
+    no matmul. X itself is never written to.
     """
-    X = np.asarray(X, dtype=np.float64)
+    # C order makes the row norms of X the same reduction as those of
+    # X @ A.T at A = I, so the first iterate matches the general one.
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a nonempty (n, d) array")
     n, d = X.shape
-    if np.any(np.linalg.norm(X, axis=1) < 1e-300):
+    x_norms = _row_norms(X)
+    if np.any(x_norms < 1e-300):
         raise ValueError("points must be nonzero")
     if not 0.0 < delta < 1.0 / d + 1e-15:
         raise ValueError(f"delta must lie in (0, 1/d), got {delta} at d={d}")
@@ -149,7 +162,7 @@ def forster_transform(X: np.ndarray, delta: float, max_iters: int | None = None)
         max_iters = max(1, math.ceil(10.0 * d * math.log(1.0 / delta)))
 
     if d == 1:
-        Y = _normalize_rows(X)
+        Y = X / x_norms[:, None]
         report = rip_check(Y, delta)
         return ForsterOutput(
             A=np.eye(1), subspace_basis=np.eye(1), retained_indices=np.arange(n),
@@ -162,7 +175,7 @@ def forster_transform(X: np.ndarray, delta: float, max_iters: int | None = None)
     last_report: RipReport | None = None
 
     for it in range(1, max_iters + 1):
-        Y = _normalize_rows(X @ A.T)
+        Y = X / x_norms[:, None] if it == 1 else _normalize_rows(X @ A.T)
         M = Y.T @ Y / n
         eigvals, eigvecs = jacobi_eigh(M)
         lam_min = float(eigvals[0])
@@ -181,7 +194,7 @@ def forster_transform(X: np.ndarray, delta: float, max_iters: int | None = None)
             and lam_history[-1] - lam_history[-1 - STALL_WINDOW] < 1e-4 / d
         )
         if lam_min < RANK_FLOOR or collapse_streak >= COLLAPSE_WINDOW or stalled:
-            found = _try_extract(X, Y, eigvecs)
+            found = _try_extract(X, x_norms, Y, eigvecs)
             if found is not None:
                 inside, basis = found
                 members = np.flatnonzero(inside)

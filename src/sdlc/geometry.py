@@ -8,7 +8,8 @@ assumes validated inputs and stays allocation-light.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,16 +39,20 @@ class RngStream:
     ids are independent by construction of the underlying Philox
     generator (the pair is its 128-bit key). Children derived via
     ``child`` get ids hashed with SplitMix64, so sibling subtrees never
-    collide in practice.
+    collide in practice. Equality and repr read (seed, stream_id) alone.
     """
 
     seed: int
     stream_id: int = 0
-    gen: np.random.Generator = field(init=False, repr=False)
 
-    def __post_init__(self):
+    @cached_property
+    def gen(self) -> np.random.Generator:
+        """The stream's Philox generator, built on first use.
+
+        A stream made only to derive children never builds one.
+        """
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent substream; deterministic in (self, index)."""

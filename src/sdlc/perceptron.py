@@ -89,7 +89,10 @@ def _key_order_windows(keys: np.ndarray | None, size: int, window: int):
     every not-yet-yielded position whose key is at most the w-th smallest
     among them (so ties come along), stable-sorted by key. Concatenated,
     the windows are np.argsort(keys, kind="stable"). w starts at `window`
-    (at least 1) and grows x4 per window.
+    (at least 1) and grows x2 per window in position order, x4 in key
+    order. A position window costs only its own rows, so the smaller step
+    offers fewer points past the mistake; a key window partitions all
+    that is left, so fewer, larger windows pay there.
     """
     w = max(1, window)
     if keys is None:
@@ -97,7 +100,7 @@ def _key_order_windows(keys: np.ndarray | None, size: int, window: int):
         while start < size:
             yield np.arange(start, min(start + w, size))
             start += w
-            w *= 4
+            w *= 2
         return
     rest = np.arange(size)
     while rest.size > w:
@@ -167,7 +170,8 @@ def margin_sweeps(oracle: LabelOracle, indices: np.ndarray, h: Hypothesis, phase
 
     A stretch's `committed` positions index the `indices` (and `points`)
     it ran on, which shrink by the committed positions before the next
-    one: a committed prefix is sliced off, anything else np.delete'd. A
+    one: a committed prefix is sliced off, anything else dropped through
+    one mask shared by both. A
     stretch's first window is the previous stretch's length, at least
     _PASS_FIRST_WINDOW. The sweeps end after a stretch without a mistake,
     which has committed everything left; callers stop them earlier with
@@ -198,8 +202,10 @@ def margin_sweeps(oracle: LabelOracle, indices: np.ndarray, h: Hypothesis, phase
             indices = indices[size:]
             points = None if points is None else points[size:]
         else:
-            indices = np.delete(indices, committed)
-            points = None if points is None else np.delete(points, committed, axis=0)
+            keep = np.ones(indices.size, dtype=bool)
+            keep[committed] = False
+            indices = indices[keep]
+            points = None if points is None else points[keep]
 
 
 def margin_perceptron_pass(

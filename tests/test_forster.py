@@ -8,7 +8,13 @@ import pytest
 from sdlc.datasets import gen_arbitrary, gen_uniform_sphere
 from sdlc.errors import NoConvergenceError
 from sdlc.forster import (
+    CANDIDATE_TOL,
+    COLLAPSE_WINDOW,
+    RANK_FLOOR,
+    RESIDUAL_TOL,
+    STALL_WINDOW,
     ForsterOutput,
+    RipReport,
     forster_transform,
     jacobi_eigh,
     rip_check,
@@ -170,6 +176,106 @@ def test_transform_budget_exhaustion_reports_progress():
         forster_transform(skew, 0.001, max_iters=1)
     assert err.value.last_report is not None
     assert not err.value.last_report.passed
+
+
+# ------------------------------------------------------ reference whitening
+
+def _unit_rows_reference(Y):
+    norms = np.linalg.norm(Y, axis=1)
+    assert not np.any(norms < 1e-300)
+    return Y / norms[:, None]
+
+
+def _extract_reference(X, Y, eigvecs):
+    n, d = Y.shape
+    unit_X = _unit_rows_reference(X)
+    for k in range(1, d):
+        U = eigvecs[:, d - k:]
+        cand = np.linalg.norm(Y - (Y @ U) @ U.T, axis=1) <= CANDIDATE_TOL
+        if int(cand.sum()) < 1 or cand.sum() / n < k / d - 1e-12:
+            continue
+        _, _, vt = np.linalg.svd(unit_X[cand], full_matrices=False)
+        basis = vt[:k].T
+        inside = np.linalg.norm(unit_X - (unit_X @ basis) @ basis.T, axis=1) <= RESIDUAL_TOL
+        count = int(inside.sum())
+        if count >= 1 and count / n >= k / d - 1e-12:
+            return inside, basis
+    return None
+
+
+def _forster_reference(X, delta, max_iters=None):
+    """The whitening loop as it was: a norm pass for the input check and
+    another for every iterate, X @ A.T at A = I included."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    assert not np.any(np.linalg.norm(X, axis=1) < 1e-300)
+    if max_iters is None:
+        max_iters = max(1, math.ceil(10.0 * d * math.log(1.0 / delta)))
+    if d == 1:
+        Y = _unit_rows_reference(X)
+        return ForsterOutput(np.eye(1), np.eye(1), np.arange(n), Y, 1.0, rip_check(Y, delta), 0)
+    A = np.eye(d)
+    collapse_streak = 0
+    lam_history = []
+    for it in range(1, max_iters + 1):
+        Y = _unit_rows_reference(X @ A.T)
+        eigvals, eigvecs = jacobi_eigh(Y.T @ Y / n)
+        lam_min = float(eigvals[0])
+        report = RipReport(lam_min, 0.0, d, delta)
+        if lam_min >= 1.0 / d - delta:
+            return ForsterOutput(A, np.eye(d), np.arange(n), Y, 1.0, report, it)
+        collapse_streak = collapse_streak + 1 if lam_min < delta / (4.0 * d) else 0
+        lam_history.append(lam_min)
+        stalled = (len(lam_history) > STALL_WINDOW
+                   and lam_history[-1] - lam_history[-1 - STALL_WINDOW] < 1e-4 / d)
+        if lam_min < RANK_FLOOR or collapse_streak >= COLLAPSE_WINDOW or stalled:
+            found = _extract_reference(X, Y, eigvecs)
+            if found is not None:
+                inside, basis = found
+                members = np.flatnonzero(inside)
+                inner = _forster_reference(X[members] @ basis, delta, max_iters)
+                A_final = basis @ inner.A @ basis.T + (np.eye(d) - basis @ basis.T)
+                retained = members[inner.retained_indices]
+                return ForsterOutput(A_final, basis @ inner.subspace_basis, retained,
+                                     inner.transformed_points, retained.size / n,
+                                     inner.rip_report, it + inner.iterations)
+        lam_safe = np.maximum(eigvals, RANK_FLOOR)
+        A = eigvecs @ np.diag(1.0 / np.sqrt(lam_safe)) @ eigvecs.T @ A
+        A /= np.linalg.norm(A) / math.sqrt(d)
+    raise NoConvergenceError("no isotropy certificate", report)
+
+
+def _reference_sets():
+    yield "uniform", gen_uniform_sphere(500, 6, RngStream(41, 0)).points
+    yield "clustered", gen_arbitrary("clustered", 600, 8, {}, RngStream(42)).points
+    yield "low_margin", gen_arbitrary("low_margin", 400, 5, {}, RngStream(43)).points
+    yield "grid", gen_arbitrary("grid", 300, 3, {}, RngStream(44)).points
+    for seed in (45, 46):
+        yield "subspace_degenerate", gen_arbitrary(
+            "subspace_degenerate", 500, 7, {"rho": 0.8, "k": 3}, RngStream(seed)).points
+    yield "d=1", np.array([[2.0], [-3.0], [0.5], [-0.25]])
+    # A -0.0 coordinate: X @ I turns it into +0.0, X / norms keeps it.
+    yield "signed zero", np.vstack([cross_polytope(3), [[-0.0, 1.0, 2.0]]])
+    half = RngStream(47).gen.permutation(500)[:250]
+    yield "subspace_degenerate half", gen_arbitrary(
+        "subspace_degenerate", 500, 6, {"rho": 0.9, "k": 2}, RngStream(48)).points[half]
+
+
+def test_transform_matches_the_reference_whitening_loop():
+    extracted = 0
+    for name, X in _reference_sets():
+        before = X.copy()
+        d = X.shape[1]
+        delta = 1.0 / (2.0 * d)
+        out = forster_transform(X, delta)
+        ref = _forster_reference(X, delta)
+        assert np.array_equal(X, before), name  # the caller's points are never written
+        for field_name in ("A", "subspace_basis", "retained_indices", "transformed_points"):
+            assert np.array_equal(getattr(out, field_name), getattr(ref, field_name)), (name, field_name)
+        assert out.iterations == ref.iterations, name
+        assert out.fraction == ref.fraction and out.rip_report == ref.rip_report, name
+        extracted += out.subspace_dim < d
+    assert extracted >= 2  # the extraction path ran, not only the first iterate
 
 
 # ---------------------------------------------------------------------- audit

@@ -58,6 +58,24 @@ def test_child_is_deterministic_and_distinct():
     assert c1.stream_id != root.stream_id
 
 
+def test_grandchild_of_streams_that_never_drew_is_pinned():
+    # The generator is built on the first draw, so the root and the child
+    # here never build one; the grandchild's draws are pinned all the same.
+    g = RngStream(2024, 3).child(5).child(0)
+    assert g.stream_id == 6115677621766062932
+    assert g.gen.normal(size=4).tolist() == [
+        2.066685036280522, -1.3327297520280537, -0.7288365256867433, -1.1111147433184048,
+    ]
+    assert g.gen.integers(0, 2**32, size=2).tolist() == [2086661966, 426256486]
+
+
+def test_streams_compare_and_print_by_key_alone():
+    a, b = RngStream(3, 5), RngStream(3, 5)
+    a.gen.uniform()
+    assert a == b and a != RngStream(3, 6)
+    assert repr(a) == "RngStream(seed=3, stream_id=5)"
+
+
 def test_sibling_children_diverge():
     root = RngStream(0, 0)
     ids = {root.child(i).stream_id for i in range(1000)}

@@ -27,12 +27,14 @@ import json
 import sys
 
 from .datasets import FAMILIES, load_jsonl, save_jsonl
+from .fanout import ordered_map
 from .harness import (
     MODES, ORDERS, RUN_KEYS, ExperimentConfig, make_dataset, run_experiment, run_single, run_verify,
 )
 
-# Records that _write_json formats at a time.
-_RECORD_BLOCK = 1 << 12
+# Records per block that _write_records formats (fanout). Larger blocks left
+# this process more memory it had freed but kept.
+_RECORD_BLOCK = 1 << 10
 # Stands in for the records in the encoded payload until they are written.
 _RECORDS_MARK = "\u0000records\u0000"
 _INF = float("inf")
@@ -81,36 +83,72 @@ def _write_json(path: str | None, payload: dict, records=None) -> None:
     if records is not None:
         payload = {**payload, "transcript": {**payload["transcript"], "records": _RECORDS_MARK}}
     head, mark, tail = json.dumps(payload, indent=2, sort_keys=True).partition(json.dumps(_RECORDS_MARK))
-    with open(path, "w") as fh:
-        fh.write(head)
+    # json.dumps escapes every non-ASCII character, so the text is ASCII.
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
         if mark:
             line = head[head.rfind("\n") + 1:]
             _write_records(fh, records, " " * (len(line) - len(line.lstrip(" "))))
-        fh.write(tail + "\n")
+        fh.write(tail.encode() + b"\n")
 
 
 def _write_records(fh, transcript, outer: str) -> None:
-    """The records list as json.dump writes it when its closing bracket is at indent `outer`."""
+    """The records list as json.dump writes it when its closing bracket is at indent `outer`.
+
+    Blocks of _RECORD_BLOCK records, which may span the transcript's
+    chunks, are formatted on every usable core (fanout) and written in
+    order, each after a comma but the first.
+    """
     item, key = outer + "  ", outer + "    "
-    sep = ""
-    fh.write("[")
-    for idx, preds, truths, margins, phase in transcript.columns():
+    chunks = list(transcript.columns())
+    templates = []
+    for *_, phase in chunks:
         phase_text = json.dumps(phase).replace("{", "{{").replace("}", "}}")
         fields = (("index", "{}"), ("margin", "{}"), ("phase", phase_text),
                   ("prediction", "{}"), ("truth", "{}"))
-        template = ("\n" + item + "{{\n" + ",\n".join(f'{key}"{name}": {value}' for name, value in fields)
-                    + "\n" + item + "}}")
-        for start in range(0, idx.size, _RECORD_BLOCK):
-            block = slice(start, start + _RECORD_BLOCK)
-            m = margins[block]
-            # str(float) is float.__repr__, as json writes a finite float;
-            # a block with NaN or an infinity takes json's own spelling.
-            finite = -_INF < m.min() and m.max() < _INF
-            margin_text = m.tolist() if finite else map(json.dumps, m.tolist())
-            fh.write(sep + ",".join(map(template.format, idx[block].tolist(), margin_text,
-                                        preds[block].tolist(), truths[block].tolist())))
-            sep = ","
-    fh.write(f"\n{outer}]" if sep else "]")
+        templates.append("\n" + item + "{{\n" + ",\n".join(f'{key}"{name}": {value}' for name, value in fields)
+                         + "\n" + item + "}}")
+    fh.write(b"[")
+    sep = b""
+    with ordered_map(_format_records, _record_blocks([c[0].size for c in chunks]),
+                     (chunks, templates)) as blocks:
+        for text in blocks:
+            fh.write(sep)
+            fh.write(text)
+            sep = b","
+    fh.write(f"\n{outer}]".encode() if sep else b"]")
+
+
+def _record_blocks(sizes: list[int]):
+    """Consecutive runs of _RECORD_BLOCK records, as lists of (chunk, start, stop)."""
+    pieces, room = [], _RECORD_BLOCK
+    for chunk, size in enumerate(sizes):
+        start = 0
+        while start < size:
+            stop = min(size, start + room)
+            pieces.append((chunk, start, stop))
+            room -= stop - start
+            start = stop
+            if not room:
+                yield pieces
+                pieces, room = [], _RECORD_BLOCK
+    if pieces:
+        yield pieces
+
+
+def _format_records(chunks: list, templates: list[str], pieces) -> bytes:
+    """The comma-joined text of the records in `pieces`, from each chunk's template, as ASCII bytes."""
+    texts = []
+    for chunk, start, stop in pieces:
+        idx, preds, truths, margins, _ = chunks[chunk]
+        m = margins[start:stop]
+        # str(float) is float.__repr__, as json writes a finite float;
+        # a piece with NaN or an infinity takes json's own spelling.
+        finite = -_INF < m.min() and m.max() < _INF
+        margin_text = m.tolist() if finite else map(json.dumps, m.tolist())
+        texts.append(",".join(map(templates[chunk].format, idx[start:stop].tolist(), margin_text,
+                                  preds[start:stop].tolist(), truths[start:stop].tolist())))
+    return ",".join(texts).encode()
 
 
 def _cmd_generate(args) -> int:

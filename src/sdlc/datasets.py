@@ -8,14 +8,17 @@ every dataset is linearly separable by construction.
 from __future__ import annotations
 
 import bisect
+import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleParametersError, MalformedRecordError
+from .fanout import ordered_map
 from .geometry import (
     UNIT_TOL, RngStream, as_vector, predict_signs, sample_sphere, sample_sphere_batch,
 )
@@ -42,8 +45,16 @@ _CLUSTER_BLOCK = 1 << 14
 # Sizes the other scoring passes of _draw_clustered: the fastest power of two
 # from 2^10 to 2^15 on rejection-heavy clustered sets.
 _CLUSTER_WINDOW = 1 << 12
-# Rows that save_jsonl turns into Python floats at a time.
-_SAVE_BLOCK = 1 << 12
+# Coordinates that save_jsonl formats, and bytes of record lines that
+# load_jsonl parses, per block. A 3000-point file at d=5 is two blocks to
+# save and one to load, too few for fanout to start a pool.
+_SAVE_FLOATS = 1 << 13
+_LOAD_BYTES = 1 << 19
+# Record lines that load_jsonl reads with one json.loads: the Python objects
+# of a whole block would cost this process memory it keeps.
+_PARSE_LINES = 1 << 8
+# The whitespace JSON allows around a value.
+_JSON_SPACE = b" \t\n\r"
 # Rows that LabeledDataset checks at a time.
 _CHECK_BLOCK = 1 << 14
 
@@ -320,35 +331,54 @@ def split_buckets(n: int, num_buckets: int, rng: RngStream) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(rng.gen.permutation(n), num_buckets)]
 
 
+def check_size(n: int, d: int) -> None:
+    """Reject an n x d float64 points array, 8 n d bytes, that exceeds physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * n * d > memory:
+        raise ValueError(f"n={n} points in d={d} dimensions take {8 * n * d} bytes, "
+                         f"more than the {memory} bytes of physical memory")
+
+
 def save_jsonl(ds: LabeledDataset, path: str) -> None:
     """Write header line {"d","n","ground_truth"} then one {"x","y"} per point.
 
     Floats go through repr (shortest round-trip form), so load_jsonl
     reconstructs bit-identical coordinates. The points are finite, so each
-    line is the text json.dumps writes for its record; rows are formatted
-    _SAVE_BLOCK at a time to keep the Python objects few.
+    line is the text json.dumps writes for its record. Blocks of about
+    _SAVE_FLOATS coordinates are formatted on every usable core (fanout)
+    and written in order.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    rows = max(1, _SAVE_FLOATS // ds.d)
+    with open(path, "wb") as fh:
         header = {
             "d": ds.d,
             "n": ds.n,
             "ground_truth": None if ds.ground_truth is None else [float(v) for v in ds.ground_truth],
         }
-        fh.write(json.dumps(header) + "\n")
-        for start in range(0, ds.n, _SAVE_BLOCK):
-            rows = ds.points[start:start + _SAVE_BLOCK].tolist()
-            labels = ds.labels[start:start + _SAVE_BLOCK].tolist()
-            fh.writelines(
-                '{"x": [' + ", ".join(map(float.__repr__, x)) + '], "y": ' + str(y) + "}\n"
-                for x, y in zip(rows, labels))
+        fh.write(json.dumps(header).encode() + b"\n")
+        jobs = ((start, start + rows) for start in range(0, ds.n, rows))
+        with ordered_map(_format_rows, jobs, (ds.points, ds.labels)) as blocks:
+            fh.writelines(blocks)
+
+
+def _format_rows(points: np.ndarray, labels: np.ndarray, rows: tuple[int, int]) -> bytes:
+    """The record lines of points[start:stop], as ASCII bytes."""
+    start, stop = rows
+    return "".join('{"x": [' + ", ".join(map(float.__repr__, x)) + '], "y": ' + str(y) + "}\n"
+                   for x, y in zip(points[start:stop].tolist(), labels[start:stop].tolist())).encode()
 
 
 def load_jsonl(path: str) -> LabeledDataset:
     """Read a file written by save_jsonl, checking every line.
 
-    Records are read one line at a time. A header whose n records could
-    not fit in the rest of the file is rejected on line 1, before the
-    arrays are allocated; a pipe has no size to check.
+    A header whose points would not fit in physical memory, or whose n
+    records could not fit in the rest of a file, is rejected on line 1,
+    before the arrays are allocated. The record lines are parsed on every
+    usable core (fanout) in blocks of whole lines of about _LOAD_BYTES
+    bytes. A worker reads its block from a file itself; from a pipe, this
+    process reads the blocks and sends them. Either way this process holds
+    the arrays and at most a few blocks. The first bad line, in line
+    order, is reported as a line-by-line read would report it.
     """
     with open(path, "rb") as fh:
         size = None
@@ -373,36 +403,113 @@ def load_jsonl(path: str) -> LabeledDataset:
             if truth is not None and not (isinstance(truth, list) and _NUMBER_TYPES.issuperset(map(type, truth))):
                 raise ValueError("ground_truth must be null or a list of numbers")
             gt = None if truth is None else as_vector(truth, d)
+            check_size(n, d)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedRecordError(1, f"bad header: {exc}") from None
         points = np.empty((n, d))
         labels = np.empty(n, dtype=np.int64)
-        i = 1
-        for i, line in enumerate(fh, start=2):
-            if i - 2 == n:
-                raise MalformedRecordError(i, f"header says n={n} but the file has more records")
-            try:
-                rec = json.loads(line.decode())
-                x, y = rec["x"], rec["y"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise MalformedRecordError(i, f"bad record: {exc}") from None
-            # Exact types: numpy would turn "0.6" and true into numbers on assignment.
-            if not isinstance(x, list) or len(x) != d or not _NUMBER_TYPES.issuperset(map(type, x)):
-                raise MalformedRecordError(i, f"x must be a list of {d} numbers")
-            if type(y) is not int or y not in (-1, 1):
-                raise MalformedRecordError(i, f"label must be the integer -1 or +1, got {y!r}")
-            try:
-                points[i - 2] = x
-            except OverflowError:
-                raise MalformedRecordError(i, "x holds an integer too large for a float") from None
-            labels[i - 2] = y
-    if i - 1 != n:
-        raise MalformedRecordError(i, f"header says n={n} but file has {i - 1} records")
+        read = 0  # record lines parsed so far
+        with ordered_map(_parse_records, _line_blocks(fh, size), (fh.fileno(), d)) as parsed:
+            for block_points, block_labels, error in parsed:
+                # A bad line after line n + 1 comes after the surplus record on line n + 2.
+                if error and read + error[0] < n:
+                    raise MalformedRecordError(read + error[0] + 2, error[1])
+                if error or read + len(block_labels) > n:
+                    raise MalformedRecordError(n + 2, f"header says n={n} but the file has more records")
+                points[read:read + len(block_labels)] = block_points
+                labels[read:read + len(block_labels)] = block_labels
+                read += len(block_labels)
+    if read != n:
+        raise MalformedRecordError(read + 1, f"header says n={n} but file has {read} records")
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))  # no (n, d) temporary
     off_sphere = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
     if off_sphere.size:
         raise MalformedRecordError(int(off_sphere[0]) + 2, "x must be a finite unit vector")
     return LabeledDataset(points, labels, gt)
+
+
+def _line_blocks(fh, size: int | None):
+    """The rest of fh in blocks of whole lines: _LOAD_BYTES bytes and the rest of the line they end in.
+
+    A file's blocks are (start, stop) byte ranges, found with one seek and
+    readline each; a pipe's are the bytes themselves.
+    """
+    if size is None:
+        while block := fh.read(_LOAD_BYTES):
+            yield block if block.endswith(b"\n") else block + fh.readline()
+        return
+    start = fh.tell()
+    while start < size:
+        fh.seek(min(start + _LOAD_BYTES, size) - 1)
+        fh.readline()
+        yield start, fh.tell()
+        start = fh.tell()
+
+
+def _parse_records(fd: int, d: int, block) -> tuple:
+    """Parse one block of record lines: bytes, or a (start, stop) range of the file open as fd.
+
+    Returns (points, labels, None) for its lines, or (None, None, (j,
+    message)) for its first bad line, j counted from 0 in the block.
+    Each run of _PARSE_LINES lines is read by _parse_run if it can, and
+    line by line if not.
+    """
+    data = block if isinstance(block, bytes) else os.pread(fd, block[1] - block[0], block[0])
+    count = data.count(b"\n") + (not data.endswith(b"\n"))
+    points = np.empty((count, d))
+    labels = np.empty(count, dtype=np.int64)
+    lines = io.BytesIO(data)  # split as iterating over the file splits
+    for start in range(0, count, _PARSE_LINES):
+        run = list(itertools.islice(lines, _PARSE_LINES))
+        rows = slice(start, start + len(run))
+        if _parse_run(d, run, points[rows], labels[rows]):
+            continue
+        for j, line in enumerate(run, start):
+            try:
+                rec = json.loads(line.decode())
+                x, y = rec["x"], rec["y"]
+            except (ValueError, KeyError, TypeError) as exc:
+                return None, None, (j, f"bad record: {exc}")
+            # Exact types: numpy would turn "0.6" and true into numbers on assignment.
+            if not isinstance(x, list) or len(x) != d or not _NUMBER_TYPES.issuperset(map(type, x)):
+                return None, None, (j, f"x must be a list of {d} numbers")
+            if type(y) is not int or y not in (-1, 1):
+                return None, None, (j, f"label must be the integer -1 or +1, got {y!r}")
+            try:
+                points[j] = x
+            except OverflowError:
+                return None, None, (j, "x holds an integer too large for a float")
+            labels[j] = y
+    return points, labels, None
+
+
+def _parse_run(d: int, lines: list[bytes], points: np.ndarray, labels: np.ndarray) -> bool:
+    """Fill points and labels from lines with one json.loads, or return False.
+
+    It reads the lines as one JSON array when each holds one brace-delimited
+    value and each value is a record of the exact types the line-by-line
+    read accepts, with no other key. No such record holds a brace after its
+    first, so none that starts a line can end on another, and counting the
+    values ties each record to its own line.
+    """
+    if not all(line.lstrip(_JSON_SPACE)[:1] == b"{" and line.rstrip(_JSON_SPACE)[-1:] == b"}"
+               for line in lines):
+        return False
+    try:
+        records = json.loads((b"[" + b",".join(lines) + b"]").decode())
+    except ValueError:
+        return False
+    if len(records) != len(lines) or not all(
+            type(rec) is dict and len(rec) == 2 and type(x := rec.get("x")) is list and len(x) == d
+            and _NUMBER_TYPES.issuperset(map(type, x)) and type(y := rec.get("y")) is int and y in (-1, 1)
+            for rec in records):
+        return False
+    try:
+        points[:] = [rec["x"] for rec in records]
+    except OverflowError:
+        return False
+    labels[:] = [rec["y"] for rec in records]
+    return True
 
 
 def predict_labels(points: np.ndarray, w: np.ndarray) -> np.ndarray:

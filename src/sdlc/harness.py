@@ -21,7 +21,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .arbitrary import DEFAULT_C_HAT, compute_boost_budget, strong_run
-from .datasets import LabeledDataset, check_family_params, gen_arbitrary, gen_uniform_sphere
+from .datasets import (
+    LabeledDataset, check_family_params, check_size, gen_arbitrary, gen_uniform_sphere,
+)
 from .geometry import RngStream
 from .oracles import (
     greedy_adversarial_order,
@@ -199,17 +201,9 @@ def fit_scaling(points: list[tuple[float, float]]) -> dict:
     return {"log": one_fit(np.log(ns)), "loglog": one_fit(np.log(np.log(ns)))}
 
 
-def _check_size(n: int, d: int) -> None:
-    """Reject an n x d float64 points array, 8 n d bytes, that exceeds physical memory."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * n * d > memory:
-        raise ValueError(f"n={n} points in d={d} dimensions take {8 * n * d} bytes, "
-                         f"more than the {memory} bytes of physical memory")
-
-
 def make_dataset(family: str, n: int, d: int, params: dict | None, seed: int) -> LabeledDataset:
     """The dataset of one (family, n, d, seed), drawn from stream STREAM_DATA."""
-    _check_size(n, d)
+    check_size(n, d)
     rng = RngStream(seed, STREAM_DATA)
     if family == "uniform":
         return gen_uniform_sphere(n, d, rng)
@@ -312,7 +306,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     else:
         for d in cfg.d_grid:
             for n in cfg.n_grid:
-                _check_size(n, d)
+                check_size(n, d)
             if cfg.mode == "arbitrary" and cfg.eps < 1.0:
                 compute_boost_budget(d, cfg.eps, cfg.delta, cfg.c_hat, cfg.alpha_hat)
         for d in cfg.d_grid:

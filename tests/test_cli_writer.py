@@ -1,6 +1,8 @@
 """The CLI's --out writer: streamed --records payloads, byte for byte."""
 
 import json
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 import sdlc.cli as cli
 from sdlc.cli import _RECORD_BLOCK, _write_json, main
+from sdlc.fanout import _MIN_JOBS
 from sdlc.transcript import Transcript
 
 
@@ -104,8 +107,24 @@ def test_chunks_below_on_and_across_the_block_edge(sizes, tmp_path):
     _assert_same_bytes(tmp_path, _payload(t), t)
 
 
-def test_streamed_records_peak_memory(tmp_path):
+@pytest.mark.parametrize("command", [["run-sphere"], ["baseline", "--order", "random"]],
+                         ids=["run-sphere", "baseline"])
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "on", "across"])
+def test_records_do_not_depend_on_the_core_count(command, offset, tmp_path, monkeypatch, capsys):
+    # Every point is predicted once, so the payload holds n records: k blocks and one either side.
+    argv = [*command, "--n", str(_MIN_JOBS * _RECORD_BLOCK + offset), "--d", "3", "--seed", "12",
+            "--records"]
+    assert main([*argv, "--out", str(tmp_path / "all.json")]) == 0
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main([*argv, "--out", str(tmp_path / "one.json")]) == 0
+    assert (tmp_path / "all.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+
+def test_streamed_records_peak_memory(tmp_path, monkeypatch):
     # One dict per record and the pure-Python encoder peaked at 23.7 MB here.
+    # On one core the records are formatted in this process, where tracemalloc sees them.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     n = 100_000
     rng = np.random.default_rng(0)
     idx, preds, margins = rng.permutation(n), rng.choice([-1, 1], size=n), rng.normal(size=n)

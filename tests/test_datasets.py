@@ -1,8 +1,15 @@
 """Dataset generators, bucketing, and file round-trips."""
 
+import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import tempfile
 import time
 
 import numpy as np
@@ -10,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sdlc.datasets as datasets
 from sdlc.cli import main
 from sdlc.datasets import (
     _CLUSTER_MAX_DRAWS,
@@ -24,7 +32,8 @@ from sdlc.datasets import (
     split_buckets,
 )
 from sdlc.errors import InfeasibleParametersError, MalformedRecordError
-from sdlc.geometry import RngStream, sample_sphere
+from sdlc.fanout import _MIN_JOBS
+from sdlc.geometry import UNIT_TOL, RngStream, as_vector, sample_sphere
 
 
 # ------------------------------------------------------------ LabeledDataset
@@ -448,7 +457,8 @@ def test_jsonl_round_trip_without_truth(tmp_path):
     gen_uniform_sphere(50, 1, RngStream(6)),
     gen_uniform_sphere(50, 10, RngStream(7)),
     LabeledDataset(np.array([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8]]), [1, -1, 1]),
-], ids=["d1", "d10", "no_truth"])
+    gen_uniform_sphere(_MIN_JOBS * (datasets._SAVE_FLOATS // 10) + 1, 10, RngStream(8)),
+], ids=["d1", "d10", "no_truth", "blocks"])
 def test_jsonl_bytes_match_json_dumps(tmp_path, ds):
     path = tmp_path / "ds.jsonl"
     save_jsonl(ds, str(path))
@@ -562,6 +572,286 @@ def test_jsonl_bad_dimension(tmp_path):
     with pytest.raises(MalformedRecordError) as err:
         load_jsonl(str(path))
     assert err.value.line_number == 2
+
+
+# ------------------------------------------------------- blocks and pools
+
+def _load_line_by_line(path: str) -> LabeledDataset:
+    """The loader that reads and checks one record line at a time, as load_jsonl did before blocks.
+
+    The block loader must return the same arrays, or raise on the same line
+    with the same message. (It leaves out the memory bound on the header,
+    which no example here comes near.)
+    """
+    number_types = frozenset((int, float))
+    with open(path, "rb") as fh:
+        size = None
+        if fh.seekable():
+            size = fh.seek(0, 2)
+            fh.seek(0)
+        first = fh.readline()
+        if not first:
+            raise MalformedRecordError(1, "empty file, expected a header")
+        try:
+            header = json.loads(first.decode())
+            d, n, truth = header["d"], header["n"], header.get("ground_truth")
+            if type(d) is not int or d < 1:
+                raise ValueError(f"d must be an integer >= 1, got {d!r}")
+            if type(n) is not int or n < 0:
+                raise ValueError(f"n must be an integer >= 0, got {n!r}")
+            if size is not None and n * (2 * d + 12) > size - len(first):
+                raise ValueError(f"n={n} records of dimension {d} cannot fit in the "
+                                 f"{size - len(first)} bytes after the header")
+            if truth is not None and not (isinstance(truth, list) and number_types.issuperset(map(type, truth))):
+                raise ValueError("ground_truth must be null or a list of numbers")
+            gt = None if truth is None else as_vector(truth, d)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MalformedRecordError(1, f"bad header: {exc}") from None
+        points = np.empty((n, d))
+        labels = np.empty(n, dtype=np.int64)
+        i = 1
+        for i, line in enumerate(fh, start=2):
+            if i - 2 == n:
+                raise MalformedRecordError(i, f"header says n={n} but the file has more records")
+            try:
+                rec = json.loads(line.decode())
+                x, y = rec["x"], rec["y"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise MalformedRecordError(i, f"bad record: {exc}") from None
+            if not isinstance(x, list) or len(x) != d or not number_types.issuperset(map(type, x)):
+                raise MalformedRecordError(i, f"x must be a list of {d} numbers")
+            if type(y) is not int or y not in (-1, 1):
+                raise MalformedRecordError(i, f"label must be the integer -1 or +1, got {y!r}")
+            try:
+                points[i - 2] = x
+            except OverflowError:
+                raise MalformedRecordError(i, "x holds an integer too large for a float") from None
+            labels[i - 2] = y
+    if i - 1 != n:
+        raise MalformedRecordError(i, f"header says n={n} but file has {i - 1} records")
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+    off_sphere = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
+    if off_sphere.size:
+        raise MalformedRecordError(int(off_sphere[0]) + 2, "x must be a finite unit vector")
+    return LabeledDataset(points, labels, gt)
+
+
+def _load_outcome(load, path: str):
+    """The points and labels as bits, or the (line number, message) of the error."""
+    try:
+        ds = load(path)
+    except MalformedRecordError as exc:
+        return exc.line_number, str(exc)
+    return ds.points.tobytes(), ds.labels.tobytes(), ds.ground_truth.tobytes()
+
+
+# The fuzzed file: 48 records of d=3 in blocks of 6 lines, read in runs of 4.
+_FUZZ_DS = gen_uniform_sphere(48, 3, RngStream(1201))
+_FUZZ_LOAD_BYTES, _FUZZ_PARSE_LINES = 400, 4
+
+
+def _fuzz_lines() -> tuple[str, list[str]]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ds.jsonl")
+        save_jsonl(_FUZZ_DS, path)
+        with open(path) as fh:
+            header, *records = fh.read().splitlines()
+    return header, records
+
+
+def _fuzz_block_starts() -> list[int]:
+    """The record that starts each block of the canonical file."""
+    header, records = _fuzz_lines()
+    text = "".join(line + "\n" for line in [header, *records]).encode()
+    record_starts = np.cumsum([len(header) + 1] + [len(r) + 1 for r in records[:-1]])
+    with tempfile.TemporaryFile() as fh, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "_LOAD_BYTES", _FUZZ_LOAD_BYTES)
+        fh.write(text)
+        fh.seek(len(header) + 1)
+        return [int(np.searchsorted(record_starts, start))
+                for start, _ in datasets._line_blocks(fh, len(text))]
+
+
+_FUZZ_TARGETS = sorted({t + s for t in _fuzz_block_starts() for s in (-1, 0, 1)} & set(range(45)))
+
+
+def _mutate(header: str, records: list[str], kind: str, t: int) -> tuple[str, list[str], str]:
+    """Apply one mutation at record line t; returns the header, the lines and the line ending.
+
+    The text of a mutated line comes from the canonical record t, so that
+    mutations compose.
+    """
+    records, canonical = list(records), _fuzz_lines()[1]
+    base = canonical[t]
+    coord = base.index("[") + 1
+    if kind == "bad":
+        records[t] = base[:-5]
+    elif kind == "blank":
+        records.insert(t, "")
+    elif kind == "crlf":
+        return header, records, "\r\n"
+    elif kind == "crlf_line":
+        records[t] = base + "\r"
+    elif kind == "extra_key":
+        records[t] = base[:-1] + ', "z": 1}'
+    elif kind in ("bool", "string", "huge", "nan"):
+        text = {"bool": "true", "string": '"0.5"', "huge": "1" + "0" * 400, "nan": "NaN"}[kind]
+        records[t] = base[:coord] + text + base[base.index(","):]
+    elif kind == "split_pair":
+        # Record t split at a comma of x, then t+1 and t+2 on one line: the line count stays.
+        first, rest = base.split(", ", 1)
+        records[t:t + 3] = [first, " " + rest, canonical[t + 1] + ", " + canonical[t + 2]]
+    elif kind == "too_many":
+        records.append(base)
+    elif kind == "too_many_header":
+        header = header.replace('"n": 48', '"n": 47')
+    elif kind == "too_few":
+        del records[-1 - t % 3:]
+    elif kind == "too_few_header":
+        header = header.replace('"n": 48', '"n": 49')
+    return header, records, "\n"
+
+
+_MUTATIONS = ["bad", "blank", "crlf", "crlf_line", "extra_key", "bool", "string", "huge", "nan",
+              "split_pair", "too_many", "too_many_header", "too_few", "too_few_header"]
+
+
+@given(edits=st.lists(st.tuples(st.sampled_from(_MUTATIONS),
+                                st.one_of(st.sampled_from(_FUZZ_TARGETS), st.integers(0, 44))),
+                      min_size=1, max_size=2))
+def test_block_loader_matches_the_line_by_line_loader(edits):
+    header, records = _fuzz_lines()
+    ending = "\n"
+    for kind, t in edits:
+        t = min(t, len(records) - 3)  # each mutation leaves at least 45 lines
+        header, records, new_ending = _mutate(header, records, kind, t)
+        ending = new_ending if new_ending != "\n" else ending
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "_LOAD_BYTES", _FUZZ_LOAD_BYTES)
+        mp.setattr(datasets, "_PARSE_LINES", _FUZZ_PARSE_LINES)
+        path = os.path.join(tmp, "mutated.jsonl")
+        with open(path, "w", newline="") as fh:
+            fh.write("".join(line + ending for line in [header, *records]))
+        assert _load_outcome(load_jsonl, path) == _load_outcome(_load_line_by_line, path)
+    assert multiprocessing.active_children() == []
+
+
+def test_the_fuzzed_file_spans_blocks():
+    starts = _fuzz_block_starts()
+    assert len(starts) >= 5 and starts[0] == 0 and starts == sorted(set(starts))
+
+
+def test_a_split_record_beside_a_double_line_is_rejected_on_its_line(tmp_path, monkeypatch):
+    # Read as one JSON array, these lines hold as many records as lines.
+    monkeypatch.setattr(datasets, "_PARSE_LINES", 8)
+    path = tmp_path / "split.jsonl"
+    path.write_text('{"d": 2, "n": 3, "ground_truth": null}\n'
+                    '{"x": [1.0, 0.0], "y": 1}\n'
+                    '{"x": [0.6\n'
+                    ' 0.8], "y": 1}\n'
+                    '{"x": [0.0, 1.0], "y": 1}, {"x": [0.0, -1.0], "y": -1}\n')
+    with pytest.raises(MalformedRecordError) as err:
+        load_jsonl(str(path))
+    assert (err.value.line_number, str(err.value)) == _load_outcome(_load_line_by_line, str(path))
+    assert err.value.line_number == 3
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_saved_bytes_do_not_depend_on_the_core_count(offset, tmp_path, monkeypatch):
+    d = 6
+    n = _MIN_JOBS * (datasets._SAVE_FLOATS // d) + offset  # k blocks of rows, and one row either side
+    ds = gen_uniform_sphere(n, d, RngStream(1202))
+    save_jsonl(ds, str(tmp_path / "all.jsonl"))
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    save_jsonl(ds, str(tmp_path / "one.jsonl"))
+    assert (tmp_path / "all.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
+    monkeypatch.undo()
+    back = load_jsonl(str(tmp_path / "all.jsonl"))
+    assert multiprocessing.active_children() == []
+    assert back.points.tobytes() == ds.points.tobytes()
+    assert np.array_equal(back.labels, ds.labels)
+
+
+def test_a_few_blocks_start_no_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # The cli_pipeline bench's small file, 3000 points at d=5: two blocks to
+    # save, one to load, and three blocks of records.
+    ds = gen_uniform_sphere(3000, 5, RngStream(1203))
+    path = str(tmp_path / "small.jsonl")
+    save_jsonl(ds, path)
+    assert load_jsonl(path).points.tobytes() == ds.points.tobytes()
+    assert main(["baseline", "--data", path, "--records", "--out", str(tmp_path / "run.json")]) == 0
+    with pytest.raises(AssertionError, match="a pool was started"):
+        save_jsonl(gen_uniform_sphere(_MIN_JOBS * datasets._SAVE_FLOATS, 1, RngStream(1204)),
+                   str(tmp_path / "big.jsonl"))
+
+
+def test_a_bad_middle_block_leaves_no_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "_LOAD_BYTES", 1 << 10)
+    ds = gen_uniform_sphere(400, 4, RngStream(1205))
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(ds, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[200] = '{"x": [0.5, 0.5, 0.5, 0.5], "y": true}\n'
+    path.write_text("".join(lines))
+    with pytest.raises(MalformedRecordError) as err:
+        load_jsonl(str(path))
+    assert err.value.line_number == 201
+    assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def _piped(path):
+    """A /dev/fd path to the read end of a pipe that `cat path` fills.
+
+    Another process writes, as in `cat file | sdlc ... --data /dev/stdin`:
+    this process holds no write end, which the pool's workers would
+    inherit and which would keep the reader from ever seeing the end.
+    """
+    read_fd, write_fd = os.pipe()
+    with subprocess.Popen(["cat", str(path)], stdout=write_fd):
+        os.close(write_fd)
+        try:
+            yield f"/dev/fd/{read_fd}"
+        finally:
+            os.close(read_fd)
+
+
+def test_jsonl_from_a_pipe_matches_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "_LOAD_BYTES", 1 << 12)
+    ds = gen_uniform_sphere(2000, 5, RngStream(1206))
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(ds, str(path))
+    with _piped(path) as pipe:
+        back = load_jsonl(pipe)
+    assert back.points.tobytes() == ds.points.tobytes()
+    assert np.array_equal(back.labels, ds.labels)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_piped_header_beyond_memory_is_rejected_on_line_1(tmp_path):
+    path = tmp_path / "huge.jsonl"
+    path.write_bytes(b'{"d": 10, "n": 100000000000}\n{"x": [1.0], "y": 1}\n')
+    with _piped(path) as pipe, pytest.raises(MalformedRecordError) as err:
+        load_jsonl(pipe)
+    assert err.value.line_number == 1
+    assert "n=100000000000 points in d=10 dimensions" in str(err.value)
+
+
+def test_cli_rejects_a_piped_header_beyond_memory():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "sdlc.cli", "run-sphere", "--data", "/dev/stdin"],
+                          input=b'{"d": 10, "n": 100000000000}\n{"x": [1.0], "y": 1}\n',
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr.decode()
+    assert lines[0].startswith("error: line 1: bad header: n=100000000000 points in d=10 dimensions")
 
 
 def test_predict_labels_boundary_convention():

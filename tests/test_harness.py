@@ -228,7 +228,7 @@ def test_cli_import_stays_light():
     # Startup time of every CLI call and bench probe: these modules belong
     # inside the functions that need them, or in the tests.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    heavy = ("concurrent.futures", "logging", "tracemalloc", "scipy", "hypothesis")
+    heavy = ("concurrent.futures", "multiprocessing", "logging", "tracemalloc", "scipy", "hypothesis")
     code = ("import sys, sdlc.cli, sdlc.harness; "
             f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},

@@ -27,9 +27,12 @@ from .geometry import RngStream, sample_sphere
 from .perceptron import Hypothesis, margin_sweeps
 from .transcript import LabelOracle, Transcript
 
-# Points per block of the Monte-Carlo kernels: enough to amortise numpy's
-# per-call cost, few enough that a block's arrays take a few MB per check.
-_BLOCK_POINTS = 1 << 18
+# Points per block of the Monte-Carlo kernels. A block and the region
+# test's scratch take 0.7-1.1 MB at d = 3..6, inside a core's L2 cache,
+# and a check holds nothing else that grows with n or m. Blocks of
+# 2**15 and 2**16 points ran no faster in run_verify and raised its peak
+# RSS by about 4 and 10 MB (CHANGES.md).
+_BLOCK_POINTS = 1 << 14
 
 
 @dataclass
@@ -59,35 +62,72 @@ def _disagreement_frame(d: int, theta: float) -> tuple[float, float]:
     return -math.sin(theta), math.cos(theta)
 
 
-def _in_region(x: np.ndarray, v: tuple[float, float]) -> np.ndarray:
-    """Mask of the rows of x in the disagreement region: u . x and v . x differ in sign or vanish.
+class _RegionDraws:
+    """Standard normal points drawn into one reused block, with their region mask.
 
-    The test reads only signs, so the rows need not be normalised, and
-    it reads only columns 0 and 1, so it needs no matrix product.
+    The block of _BLOCK_POINTS rows and the region test's scratch are
+    allocated once. One draw of r rows returns the same numbers as
+    consecutive draws adding up to r rows, so the block size moves no
+    point of the stream.
     """
-    x1 = x[:, 1]
-    s = x[:, 0] * v[0]
-    s += x1 * v[1]
-    s *= x1
-    return s <= 0.0
+
+    def __init__(self, gen: np.random.Generator, d: int, v: tuple[float, float]):
+        self.gen, self.v = gen, v
+        self.x = np.empty((_BLOCK_POINTS, d))
+        self.scratch = np.empty((2, _BLOCK_POINTS))
+        self.hit = np.empty(_BLOCK_POINTS, dtype=bool)
+
+    def draw(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next `rows` points (at most _BLOCK_POINTS) and the mask of those in the region.
+
+        A row is in the disagreement region when u . x and v . x differ in
+        sign or vanish: (x_0 v_0 + x_1 v_1) x_1 <= 0. The test reads only
+        signs, so the rows need not be normalised, and it reads only
+        columns 0 and 1, so it needs no matrix product. Both arrays are
+        overwritten by the next draw.
+        """
+        x = self.x[:rows]
+        self.gen.standard_normal(out=x)
+        s, t = self.scratch[:, :rows]
+        x1 = x[:, 1]
+        np.multiply(x[:, 0], self.v[0], out=s)
+        np.multiply(x1, self.v[1], out=t)
+        s += t
+        s *= x1
+        return x, np.less_equal(s, 0.0, out=self.hit[:rows])
 
 
-def _normal_blocks(gen: np.random.Generator, n: int, d: int, trials: int):
-    """Standard normal points of `trials` trials of n points each, whole trials at a time.
+def _trial_blocks(draws: _RegionDraws, n: int, trials: int):
+    """Yield (first row, x, mask) over `trials` trials of n points, a block at a time.
 
-    Yields (first trial, k, points of shape (k * n, d)), with about
-    _BLOCK_POINTS points per block; the yielded array is reused by the
-    next block. One draw of k * n rows returns the same numbers as k
-    draws of n rows, so each trial sees the points a per-trial loop
-    would draw.
+    Row j of the stream belongs to trial j // n, as in a loop drawing n
+    points per trial; a trial may span several blocks.
     """
-    per_block = max(1, min(trials, _BLOCK_POINTS // n))
-    buf = np.empty((per_block * n, d))
-    for first in range(0, trials, per_block):
-        k = min(per_block, trials - first)
-        x = buf[:k * n]
-        gen.standard_normal(out=x)
-        yield first, k, x
+    total = n * trials
+    for start in range(0, total, _BLOCK_POINTS):
+        yield start, *draws.draw(min(_BLOCK_POINTS, total - start))
+
+
+def _unit_margins(rows: np.ndarray) -> np.ndarray:
+    """The margin |u . x| / |x| of each row x of `rows`, which it overwrites.
+
+    The norm is np.linalg.norm(rows, axis=1) without its two copies: the
+    same squares, summed in the same order.
+    """
+    margins = np.abs(rows[:, 1])
+    rows *= rows
+    margins /= np.sqrt(np.add.reduce(rows, axis=1))
+    return margins
+
+
+def _segments(start: int, rows: int, n: int) -> tuple[int, np.ndarray]:
+    """Split rows start .. start + rows - 1 of a stream of n-row trials by trial.
+
+    Returns the trial of the first row, and the offsets at which it and
+    each later trial begin in the block: the indices of a ufunc.reduceat.
+    """
+    first = start // n
+    return first, np.maximum(np.arange(first * n - start, rows, n), 0)
 
 
 def mc_disagreement_mass(
@@ -111,42 +151,53 @@ def mc_disagreement_mass(
         raise ValueError(f"need trials >= 100 for a stable comparison, got {trials}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if check not in ("mean", "tail"):
+        raise ValueError(f"check must be 'mean' or 'tail', got {check!r}")
+    if not 0.0 < tail_delta < 1.0:
+        raise ValueError(f"tail_delta must be in (0, 1), got {tail_delta}")
     v = _disagreement_frame(d, theta)
-    fractions = np.empty(trials)
-    for first, k, x in _normal_blocks(rng.gen, n, d, trials):
-        fractions[first:first + k] = _in_region(x, v).reshape(k, n).mean(axis=1)
+    counts = np.zeros(trials, dtype=np.int64)
+    for start, x, hit in _trial_blocks(_RegionDraws(rng.gen, d, v), n, trials):
+        first, cuts = _segments(start, len(x), n)
+        counts[first:first + len(cuts)] += np.add.reduceat(hit, cuts, dtype=np.int64)
+    # A count of 0/1 values is exact, so count / n is the mean of each trial's hits.
+    fractions = counts / n
     p = theta / math.pi
     if check == "mean":
         diff = abs(float(fractions.mean()) - p)
         se = float(fractions.std(ddof=1)) / math.sqrt(trials)
         return TailCheckResult(diff, 0.0, se, trials, {"target": p, "mean": float(fractions.mean())})
-    if check == "tail":
-        threshold = n * p + math.sqrt(2.0 * p * n * math.log(1.0 / tail_delta))
-        exceed = float(np.mean(fractions * n > threshold))
-        se = math.sqrt(tail_delta * (1.0 - tail_delta) / trials)
-        return TailCheckResult(exceed, tail_delta, se, trials, {"threshold": threshold})
-    raise ValueError(f"check must be 'mean' or 'tail', got {check!r}")
+    threshold = n * p + math.sqrt(2.0 * p * n * math.log(1.0 / tail_delta))
+    exceed = float(np.mean(fractions * n > threshold))
+    se = math.sqrt(tail_delta * (1.0 - tail_delta) / trials)
+    return TailCheckResult(exceed, tail_delta, se, trials, {"threshold": threshold})
 
 
-def _conditional_disagreement_samples(
-    total: int, d: int, theta: float, v: tuple[float, float], gen: np.random.Generator
+def _conditional_best_margins(
+    m: int, trials: int, d: int, theta: float, v: tuple[float, float], gen: np.random.Generator
 ) -> np.ndarray:
-    """Rejection-sample `total` unit points from the disagreement region.
+    """Best |u . x| over each trial's m unit points of the disagreement region.
 
-    The samples are the first `total` accepted draws of the stream, so the
-    chunk sizes change only how far past them the stream is read.
+    The points are rejection samples: trial t takes accepted draws
+    t m .. (t + 1) m - 1 of the stream, so the chunk sizes change only how
+    far past the last of them the stream is read. Only each trial's
+    running best is kept.
     """
+    total = m * trials
     accept_rate = theta / math.pi
-    out = np.empty((total, d))
+    draws = _RegionDraws(gen, d, v)
+    best = np.zeros(trials)
     have = 0
     while have < total:
-        chunk = min(_BLOCK_POINTS, max(8192, int(1.5 * (total - have) / accept_rate)))
-        x = gen.standard_normal((chunk, d))
-        keep = x[_in_region(x, v)][:total - have]
-        keep /= np.linalg.norm(keep, axis=1)[:, None]
-        out[have:have + keep.shape[0]] = keep
-        have += keep.shape[0]
-    return out
+        x, hit = draws.draw(min(_BLOCK_POINTS, max(8192, int(1.5 * (total - have) / accept_rate))))
+        keep = x[hit][:total - have]
+        if not len(keep):
+            continue
+        first, cuts = _segments(have, len(keep), m)
+        seg = best[first:first + len(cuts)]
+        np.maximum(seg, np.maximum.reduceat(_unit_margins(keep), cuts), out=seg)
+        have += len(keep)
+    return best
 
 
 def mc_max_margin_tail(
@@ -180,8 +231,7 @@ def mc_max_margin_tail(
         bound = math.exp(-m * (level / 2.0) ** (d / 2.0) / 2.0)
     else:
         raise ValueError(f"case must be 1 or 2, got {case}")
-    samples = _conditional_disagreement_samples(m * trials, d, theta, v, rng.gen)
-    best = np.abs(samples[:, 1]).reshape(trials, m).max(axis=1)
+    best = _conditional_best_margins(m, trials, d, theta, v, rng.gen)
     emp = float(np.mean(best <= threshold))
     se = math.sqrt(emp * (1.0 - emp) / trials)
     return TailCheckResult(emp, bound, se, trials, {"threshold": threshold, "case": case})
@@ -205,8 +255,10 @@ def mc_best_mistake_margin(
     c >= 2 with exp(-dc/4) <= ratio (c is auto-raised to satisfy this);
     case 2 threshold (1 - ratio^{2/d}) * sin(theta).
     """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    if not math.isfinite(s) or s < 1:
+        raise ValueError(f"s must be finite and >= 1, got {s}")
+    if c is not None and not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
     v = _disagreement_frame(d, theta)
@@ -214,6 +266,8 @@ def mc_best_mistake_margin(
     if ratio > 1.0 + 1e-12:
         raise RegimeError(
             f"regime requires 4*pi*s/(n*theta) <= 1, got {ratio:.4g}")
+    # Within the tolerance ratio counts as 1, so both thresholds are >= 0.
+    ratio = min(ratio, 1.0)
     if case == 1:
         if c is None:
             c = max(2.0, 4.0 * math.log(1.0 / ratio) / d)
@@ -229,15 +283,14 @@ def mc_best_mistake_margin(
     else:
         raise ValueError(f"case must be 1 or 2, got {case}")
     bound = 2.0 * math.exp(-s / 2.0)
-    failures = 0
-    for _, k, x in _normal_blocks(rng.gen, n, d, trials):
-        # Margin |u . x| / |x| of the in-region points, 0 elsewhere.
-        at = np.flatnonzero(_in_region(x, v))
-        inside = x[at]
-        margins = np.zeros(k * n)
-        margins[at] = np.abs(inside[:, 1]) / np.linalg.norm(inside, axis=1)
-        failures += int(np.count_nonzero(margins.reshape(k, n).max(axis=1) <= threshold))
-    emp = failures / trials
+    # A trial fails when no region point has margin |u . x| / |x| above the
+    # threshold: its best margin, 0 with no point in the region, is at most
+    # the threshold, which is >= 0.
+    beaten = np.zeros(trials, dtype=bool)
+    for start, x, hit in _trial_blocks(_RegionDraws(rng.gen, d, v), n, trials):
+        at = np.flatnonzero(hit)
+        beaten[(start + at[_unit_margins(x[at]) > threshold]) // n] = True
+    emp = (trials - int(np.count_nonzero(beaten))) / trials
     se = math.sqrt(emp * (1.0 - emp) / trials)
     return TailCheckResult(emp, bound, se, trials, {"threshold": threshold, "case": case, "c": c})
 

@@ -1,6 +1,7 @@
 """Monte-Carlo verifiers, the decay recurrence, and order baselines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sdlc.datasets import LabeledDataset, predict_labels
 from sdlc.errors import InfeasibleParametersError, RegimeError
 from sdlc.geometry import RngStream, sample_sphere, sample_sphere_batch
 from sdlc.oracles import (
+    _BLOCK_POINTS,
     TailCheckResult,
     greedy_adversarial_order,
     mc_best_mistake_margin,
@@ -75,6 +77,21 @@ def test_disagreement_mass_rejects_empty_trials():
         mc_disagreement_mass(3, 0.5, 0, 200, vrng())
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"check": "median"}, "check"),
+    ({"check": "tail", "tail_delta": 0.0}, "tail_delta"),
+    ({"check": "tail", "tail_delta": 1.0}, "tail_delta"),
+    ({"check": "tail", "tail_delta": 1.5}, "tail_delta"),
+    ({"check": "tail", "tail_delta": -0.1}, "tail_delta"),
+    ({"check": "tail", "tail_delta": math.nan}, "tail_delta"),
+], ids=["median", "delta=0", "delta=1", "delta=1.5", "delta=-0.1", "delta=nan"])
+def test_disagreement_mass_rejects_arguments_before_drawing(kwargs, name):
+    rng = vrng()
+    with pytest.raises(ValueError, match=name):
+        mc_disagreement_mass(3, 0.5, 10_000, 1000, rng, **kwargs)
+    assert "gen" not in vars(rng)   # the stream's generator was never built
+
+
 def _frame(d, theta):
     """The parent's unit pair: u = e_1 and v at angle theta from it."""
     u, v = np.zeros(d), np.zeros(d)
@@ -96,7 +113,7 @@ def _reference_disagreement_fractions(d, theta, n, trials, rng):
 
 @pytest.mark.parametrize("check", ["mean", "tail"])
 def test_disagreement_mass_matches_per_trial_reference(check):
-    # 3000 points a trial: 87 trials a block, so 200 trials span three blocks
+    # 3000 points a trial, 600k in all: many blocks, most of them ending inside a trial
     d, theta, n, trials = 3, math.pi / 4, 3000, 200
     fast = mc_disagreement_mass(d, theta, n, trials, vrng(8), check=check, tail_delta=0.3)
     fractions = _reference_disagreement_fractions(d, theta, n, trials, vrng(8))
@@ -111,6 +128,16 @@ def test_disagreement_mass_matches_per_trial_reference(check):
                                math.sqrt(0.3 * 0.7 / trials), trials, {"threshold": threshold})
     assert fast.empirical > 0.0
     assert fast == want
+
+
+def test_disagreement_mass_trial_across_three_blocks():
+    d, theta, n, trials = 2, math.pi / 3, 2 * _BLOCK_POINTS + 1, 100
+    fast = mc_disagreement_mass(d, theta, n, trials, vrng(9))
+    fractions = _reference_disagreement_fractions(d, theta, n, trials, vrng(9))
+    p = theta / math.pi
+    assert fast == TailCheckResult(abs(float(fractions.mean()) - p), 0.0,
+                                   float(fractions.std(ddof=1)) / math.sqrt(trials), trials,
+                                   {"target": p, "mean": float(fractions.mean())})
 
 
 # ------------------------------------------------------- conditioned max margin
@@ -135,6 +162,35 @@ def test_max_margin_case1_reference_bound():
     assert res.passed
 
 
+def _reference_conditional_samples(total, d, theta, gen):
+    """The first `total` unit points of the stream in the disagreement region, as one matrix."""
+    u, v = _frame(d, theta)
+    out = np.empty((total, d))
+    have = 0
+    while have < total:
+        x = gen.normal(size=(5000, d))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        keep = x[(x @ u) * (x @ v) <= 0.0][:total - have]
+        out[have:have + len(keep)] = keep
+        have += len(keep)
+    return out
+
+
+def test_max_margin_matches_full_matrix_reference_across_chunks():
+    # 35000 accepted points at rate 1/2 take several rejection chunks of at
+    # most a block of draws each; their boundaries fall inside trials of 7 points.
+    d, theta, m, level, trials = 3, math.pi / 2, 7, 0.55, 5000
+    fast = mc_max_margin_tail(d, theta, m, level, 1, trials, vrng(6))
+    samples = _reference_conditional_samples(m * trials, d, theta, vrng(6).gen)
+    best = np.abs(samples[:, 1]).reshape(trials, m).max(axis=1)
+    threshold = level * math.sin(theta / 2.0)
+    emp = float(np.mean(best <= threshold))
+    assert 0.0 < emp < 1.0
+    assert fast == TailCheckResult(emp, math.exp(-m * (1.0 - level * level) ** 0.5 / 2.0),
+                                   math.sqrt(emp * (1.0 - emp) / trials), trials,
+                                   {"threshold": threshold, "case": 1})
+
+
 def test_max_margin_case2_cells():
     res = mc_max_margin_tail(4, 1.0, 50, 0.5, 2, 500, vrng(4))
     assert res.details["threshold"] == pytest.approx(0.5 * math.sin(1.0))
@@ -157,6 +213,16 @@ def test_best_mistake_margin_validation():
         mc_best_mistake_margin(4, 0.5, 100_000, 1.0, 1, 200, vrng(), c=3.0)
 
 
+@pytest.mark.parametrize("s, c, name", [(math.nan, None, "s"), (math.inf, None, "s"),
+                                         (4.0, math.nan, "c"), (4.0, math.inf, "c")],
+                         ids=["s=nan", "s=inf", "c=nan", "c=inf"])
+def test_best_mistake_margin_rejects_non_finite_constants(s, c, name):
+    rng = vrng()
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        mc_best_mistake_margin(4, 0.5, 10_000, s, 1, 200, rng, c=c)
+    assert "gen" not in vars(rng)
+
+
 def test_best_mistake_margin_rejects_empty_trials():
     with pytest.raises(ValueError):
         mc_best_mistake_margin(4, 0.5, 0, 1.0, 2, 200, vrng())
@@ -164,24 +230,35 @@ def test_best_mistake_margin_rejects_empty_trials():
         mc_best_mistake_margin(4, 0.5, 200, 1.0, 2, 0, vrng())
 
 
-def test_best_mistake_margin_matches_per_trial_reference():
-    # 200 points a trial: 1310 trials a block, so 1500 trials span two blocks
-    d, theta, n, s, trials = 4, 0.5, 200, 1.0, 1500
-    fast = mc_best_mistake_margin(d, theta, n, s, 2, trials, vrng(5))
-
+def _reference_best_margin_result(d, theta, n, s, trials, rng):
+    """Case 2 of mc_best_mistake_margin, one draw and normalisation per trial."""
     u, v = _frame(d, theta)
-    gen = vrng(5).gen
     failures = 0
     threshold = (1.0 - (4.0 * math.pi * s / (n * theta)) ** (2.0 / d)) * math.sin(theta)
     for _ in range(trials):
-        x = gen.normal(size=(n, d))
+        x = rng.gen.normal(size=(n, d))
         x /= np.linalg.norm(x, axis=1)[:, None]
         in_region = (x @ u) * (x @ v) <= 0.0
         failures += int(np.where(in_region, np.abs(x @ u), 0.0).max() <= threshold)
     emp = failures / trials
-    want = TailCheckResult(emp, 2.0 * math.exp(-s / 2.0), math.sqrt(emp * (1.0 - emp) / trials),
+    return TailCheckResult(emp, 2.0 * math.exp(-s / 2.0), math.sqrt(emp * (1.0 - emp) / trials),
                            trials, {"threshold": threshold, "case": 2, "c": None})
+
+
+def test_best_mistake_margin_matches_per_trial_reference():
+    # 200 points a trial, 300k in all: several blocks, most of them ending inside a trial
+    d, theta, n, s, trials = 4, 0.5, 200, 1.0, 1500
+    fast = mc_best_mistake_margin(d, theta, n, s, 2, trials, vrng(5))
+    want = _reference_best_margin_result(d, theta, n, s, trials, vrng(5))
     assert fast.empirical > 0.0
+    assert fast == want
+
+
+def test_best_mistake_margin_trial_across_three_blocks():
+    d, theta, n, s, trials = 4, 0.005, 2 * _BLOCK_POINTS + 1, 1.0, 20
+    fast = mc_best_mistake_margin(d, theta, n, s, 2, trials, vrng(10))
+    want = _reference_best_margin_result(d, theta, n, s, trials, vrng(10))
+    assert 0.0 < fast.empirical < 1.0
     assert fast == want
 
 
@@ -197,6 +274,34 @@ def test_best_mistake_margin_case1_picks_c():
     assert res.details["c"] >= 2.0
     assert res.bound == pytest.approx(2.0 * math.exp(-2.0))
     assert res.passed
+
+
+# ------------------------------------------------------------- kernel memory
+
+_FAR_ABOVE_BLOCK = 4 * _BLOCK_POINTS + 1
+
+
+@pytest.mark.parametrize("kernel, at_verify, far", [
+    (mc_disagreement_mass, (3, math.pi / 4, 10_000, 100), (3, math.pi / 4, _FAR_ABOVE_BLOCK, 100)),
+    (mc_best_mistake_margin, (4, 0.5, 10_000, 4.0, 1, 200), (4, 0.5, _FAR_ABOVE_BLOCK, 4.0, 1, 4)),
+    (mc_max_margin_tail, (6, math.pi / 3, 40, 0.3, 1, 2000), (6, math.pi / 3, 50_000, 0.3, 1, 4)),
+], ids=["disagreement-mass", "best-mistake-margin", "max-margin-tail"])
+def test_kernel_peak_memory_does_not_grow_with_n_or_m(kernel, at_verify, far):
+    # The n, m and d of run_verify's checks (fewer trials: they size only
+    # the O(trials) results), then an n or m far above a block. These peak
+    # at 0.8, 0.9 and 1.6 MB. Blocks of 2**18 points and the whole matrix
+    # of conditioned samples peaked at 9.9, 15.5 and 24.5 MB at the first sizes.
+    kernel(*at_verify, rng=vrng())   # numpy's first-use allocations stay out of the trace
+    peaks = []
+    for args in (at_verify, far):
+        tracemalloc.start()
+        try:
+            kernel(*args, rng=vrng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 2 * 2**20
+    assert abs(peaks[1] - peaks[0]) <= 2**16
 
 
 # ------------------------------------------------------------ decay recurrence

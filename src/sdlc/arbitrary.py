@@ -100,13 +100,13 @@ def compute_boost_budget(
     eps: float,
     delta: float,
     c_hat: float = DEFAULT_C_HAT,
-    alpha_hat: float | None = None,
 ) -> BoostBudget:
     """Round and retry counts for the boosting loop.
 
-    alpha is the residual fraction a successful round leaves behind
-    (default 1 - 1/(4d), matching the coverage target); c is the
-    per-attempt success probability the retry count insures against.
+    alpha = 1 - 1/(4d) is the residual fraction a successful round leaves
+    behind: a weak run aims at a 1/(4k) share of what is left, and k <= d.
+    It lies in [0.75, 1) for every d >= 1. c is the per-attempt success
+    probability the retry count insures against.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -114,9 +114,7 @@ def compute_boost_budget(
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not 0.0 < c_hat <= 1.0:
         raise ValueError(f"c_hat must be in (0, 1], got {c_hat}")
-    alpha = 1.0 - 1.0 / (4.0 * d) if alpha_hat is None else alpha_hat
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha_hat must be in (0, 1), got {alpha}")
+    alpha = 1.0 - 1.0 / (4.0 * d)
     runs_outer = max(1, math.ceil(math.log(1.0 / eps) / math.log(1.0 / alpha)))
     retries_raw = math.log(runs_outer / delta) / c_hat
     if not math.isfinite(retries_raw):
@@ -151,7 +149,6 @@ def strong_run(
     delta: float,
     rng: RngStream,
     c_hat: float = DEFAULT_C_HAT,
-    alpha_hat: float | None = None,
 ) -> StrongRunResult:
     """Boost weak runs until at most an eps-fraction stays unlabeled.
 
@@ -169,7 +166,7 @@ def strong_run(
     n = oracle.n
     if eps >= 1.0:
         return StrongRunResult(oracle.transcript, None, 0, 0, 0, n, False)
-    budget = compute_boost_budget(oracle.d, eps, delta, c_hat, alpha_hat)
+    budget = compute_boost_budget(oracle.d, eps, delta, c_hat)
     attempts = 0
     rounds_used = 0
     left = n  # unpredicted points; each weak run reports what it revealed

@@ -137,8 +137,9 @@ def _gen_clustered(n: int, d: int, params: dict, rng: RngStream) -> LabeledDatas
     floor = float(params.get("margin_floor", 0.02))
     if num_clusters < 1 or num_clusters > n:
         raise ValueError("num_clusters must be in [1, n]")
-    if spread <= 0 or offset <= 0 or floor <= 0:
-        raise ValueError("spread, boundary_offset and margin_floor must be positive")
+    for name, value in (("spread", spread), ("boundary_offset", offset), ("margin_floor", floor)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
     w_star = sample_sphere(d, rng.child(1))
     crng = rng.child(2)

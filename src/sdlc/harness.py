@@ -74,7 +74,6 @@ class ExperimentConfig:
     c_prime: float = DEFAULT_C_PRIME
     c_init: float = DEFAULT_C_INIT
     c_hat: float = DEFAULT_C_HAT
-    alpha_hat: float | None = None
     family: str = "uniform"
     family_params: dict = field(default_factory=dict)
     order: str = "random"
@@ -91,9 +90,9 @@ class ExperimentConfig:
                 _check_int(f"{name} entry", value, seed=name == "seeds")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
-        for name in ("delta", "eps", "c_prime", "c_init", "c_hat", "alpha_hat"):
+        for name in ("delta", "eps", "c_prime", "c_init", "c_hat"):
             value = getattr(self, name)
-            if type(value) not in _NUMBER_TYPES and not (name == "alpha_hat" and value is None):
+            if type(value) not in _NUMBER_TYPES:
                 raise ValueError(f"{name} must be a number, got {value!r}")
         for name in ("delta", "eps"):
             value = getattr(self, name)
@@ -105,8 +104,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.c_hat <= 1.0:
             raise ValueError(f"c_hat must be in (0, 1], got {self.c_hat}")
-        if self.alpha_hat is not None and not 0.0 < self.alpha_hat < 1.0:
-            raise ValueError(f"alpha_hat must be in (0, 1), got {self.alpha_hat}")
         check_family_params(self.family, self.family_params)
         if self.order not in ORDERS:
             raise ValueError(f"order must be one of {ORDERS}, got {self.order!r}")
@@ -225,8 +222,7 @@ def run_single(cfg: ExperimentConfig, ds: LabeledDataset, seed: int) -> tuple[Tr
         return res.transcript, {"schedule": asdict(schedule)}
     if cfg.mode == "arbitrary":
         eps = float(cfg.eps)
-        alpha_hat = None if cfg.alpha_hat is None else float(cfg.alpha_hat)
-        res = strong_run(ds, eps, delta, RngStream(seed, STREAM_LEARNER), float(cfg.c_hat), alpha_hat)
+        res = strong_run(ds, eps, delta, RngStream(seed, STREAM_LEARNER), float(cfg.c_hat))
         return res.transcript, {"eps": eps, "delta": delta, "coverage": res.coverage,
                                 "rounds_used": res.rounds_used, "attempts": res.attempts,
                                 "partial": res.partial}
@@ -262,7 +258,7 @@ def run_verify(seed: int = 0) -> list[dict]:
                        mc_disagreement_mass, (3, theta, 10_000, 1000), {"check": "mean"}))
     checks += [
         ("disagreement-mass-tail-theta=pi/4",
-         mc_disagreement_mass, (3, math.pi / 4, 10_000, 1000), {"check": "tail", "tail_delta": 0.01}),
+         mc_disagreement_mass, (3, math.pi / 4, 10_000, 1000), {"check": "tail"}),
         ("conditional-margin-case1-d3", mc_max_margin_tail, (3, math.pi / 2, 100, 0.5, 1, 2000), {}),
         ("conditional-margin-case1-d6", mc_max_margin_tail, (6, math.pi / 3, 40, 0.3, 1, 2000), {}),
         ("conditional-margin-case2-d4", mc_max_margin_tail, (4, 1.0, 50, 0.5, 2, 2000), {}),
@@ -308,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             for n in cfg.n_grid:
                 check_size(n, d)
             if cfg.mode == "arbitrary" and cfg.eps < 1.0:
-                compute_boost_budget(d, cfg.eps, cfg.delta, cfg.c_hat, cfg.alpha_hat)
+                compute_boost_budget(d, cfg.eps, cfg.delta, cfg.c_hat)
         for d in cfg.d_grid:
             for n in cfg.n_grid:
                 for seed in cfg.seeds:

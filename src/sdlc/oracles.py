@@ -33,6 +33,9 @@ from .transcript import LabelOracle, Transcript
 # 2**15 and 2**16 points ran no faster in run_verify and raised its peak
 # RSS by about 4 and 10 MB (CHANGES.md).
 _BLOCK_POINTS = 1 << 14
+# The tail check's level: mc_disagreement_mass's check="tail" expects the
+# Hoeffding threshold to be exceeded with frequency at most TAIL_DELTA.
+TAIL_DELTA = 0.01
 
 
 @dataclass
@@ -137,15 +140,14 @@ def mc_disagreement_mass(
     trials: int,
     rng: RngStream,
     check: str = "mean",
-    tail_delta: float = 0.01,
 ) -> TailCheckResult:
     """Estimate the disagreement-region mass of two directions at angle theta.
 
     check="mean" compares the mean hit count against n * theta / pi
     (two-sided, encoded as |difference| <= 0 + 3 stderr). check="tail"
     measures how often the count exceeds the Hoeffding threshold
-    n p + sqrt(2 p n ln(1/tail_delta)), which should happen with
-    frequency at most tail_delta.
+    n p + sqrt(2 p n ln(1/TAIL_DELTA)), which should happen with
+    frequency at most TAIL_DELTA = 0.01.
     """
     if trials < 100:
         raise ValueError(f"need trials >= 100 for a stable comparison, got {trials}")
@@ -153,8 +155,6 @@ def mc_disagreement_mass(
         raise ValueError(f"n must be positive, got {n}")
     if check not in ("mean", "tail"):
         raise ValueError(f"check must be 'mean' or 'tail', got {check!r}")
-    if not 0.0 < tail_delta < 1.0:
-        raise ValueError(f"tail_delta must be in (0, 1), got {tail_delta}")
     v = _disagreement_frame(d, theta)
     counts = np.zeros(trials, dtype=np.int64)
     for start, x, hit in _trial_blocks(_RegionDraws(rng.gen, d, v), n, trials):
@@ -167,10 +167,10 @@ def mc_disagreement_mass(
         diff = abs(float(fractions.mean()) - p)
         se = float(fractions.std(ddof=1)) / math.sqrt(trials)
         return TailCheckResult(diff, 0.0, se, trials, {"target": p, "mean": float(fractions.mean())})
-    threshold = n * p + math.sqrt(2.0 * p * n * math.log(1.0 / tail_delta))
+    threshold = n * p + math.sqrt(2.0 * p * n * math.log(1.0 / TAIL_DELTA))
     exceed = float(np.mean(fractions * n > threshold))
-    se = math.sqrt(tail_delta * (1.0 - tail_delta) / trials)
-    return TailCheckResult(exceed, tail_delta, se, trials, {"threshold": threshold})
+    se = math.sqrt(TAIL_DELTA * (1.0 - TAIL_DELTA) / trials)
+    return TailCheckResult(exceed, TAIL_DELTA, se, trials, {"threshold": threshold})
 
 
 def _conditional_best_margins(
@@ -245,20 +245,18 @@ def mc_best_mistake_margin(
     case: int,
     trials: int,
     rng: RngStream,
-    c: float | None = None,
 ) -> TailCheckResult:
     """Best margin over the disagreement points among n unconditioned samples.
 
     With ratio = 4 pi s / (n theta), the failure probability of the
     margin threshold is at most 2 exp(-s/2):
     case 1 threshold sqrt(ln(1/ratio) / (2 c d)) * sin(theta) for any
-    c >= 2 with exp(-dc/4) <= ratio (c is auto-raised to satisfy this);
+    c >= 2 with exp(-dc/4) <= ratio, here the smallest (details["c"];
+    None in case 2);
     case 2 threshold (1 - ratio^{2/d}) * sin(theta).
     """
     if not math.isfinite(s) or s < 1:
         raise ValueError(f"s must be finite and >= 1, got {s}")
-    if c is not None and not math.isfinite(c):
-        raise ValueError(f"c must be finite, got {c}")
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
     v = _disagreement_frame(d, theta)
@@ -268,15 +266,9 @@ def mc_best_mistake_margin(
             f"regime requires 4*pi*s/(n*theta) <= 1, got {ratio:.4g}")
     # Within the tolerance ratio counts as 1, so both thresholds are >= 0.
     ratio = min(ratio, 1.0)
+    c = None
     if case == 1:
-        if c is None:
-            c = max(2.0, 4.0 * math.log(1.0 / ratio) / d)
-        if c < 2.0:
-            raise RegimeError(f"regime requires c >= 2, got {c}")
-        if math.exp(-d * c / 4.0) > ratio * (1.0 + 1e-12):
-            raise RegimeError(
-                f"regime requires exp(-d*c/4) <= 4*pi*s/(n*theta): "
-                f"{math.exp(-d * c / 4.0):.4g} > {ratio:.4g}")
+        c = _best_margin_c(d, ratio)
         threshold = math.sqrt(math.log(1.0 / ratio) / (2.0 * c * d)) * math.sin(theta)
     elif case == 2:
         threshold = (1.0 - ratio ** (2.0 / d)) * math.sin(theta)
@@ -295,14 +287,21 @@ def mc_best_mistake_margin(
     return TailCheckResult(emp, bound, se, trials, {"threshold": threshold, "case": case, "c": c})
 
 
+def _best_margin_c(d: int, ratio: float) -> float:
+    """The smallest c >= 2 with exp(-d c / 4) <= ratio, for ratio in (0, 1]."""
+    return max(2.0, 4.0 * math.log(1.0 / ratio) / d)
+
+
 def superlinear_rounds(rho: float, kappa: float, M: float, delta: float) -> int:
     """Rounds after which the decayed process should sit below e^2 kappa."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa must be in (0, 1), got {kappa}")
-    if M <= 0 or delta <= 0 or delta >= 1:
-        raise ValueError("need M > 0 and delta in (0, 1)")
+    if not (math.isfinite(M) and M > 0.0):
+        raise ValueError(f"M must be positive and finite, got {M}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
     inner = max(math.log(math.log(1.0 / kappa)), math.log(math.log(M + 1.0)))
     return max(0, math.ceil(1.5 * (inner / rho + math.log(math.e / delta))))
 
@@ -323,26 +322,22 @@ def simulate_superlinear(
     delta: float,
     trials: int,
     rng: RngStream,
-    xi0: float | None = None,
 ) -> TailCheckResult:
     """Simulate the slowest admissible decay process and check the round bound.
 
-    Each of `trials` processes starts at xi0 (default M) and, per round,
-    decays via superlinear_step with probability p_decay (at least 2/3,
-    the guaranteed decay rate) or stays put. After the prescribed number
-    of rounds, the failure frequency P[xi > e^2 kappa] must not exceed
-    delta (plus Monte-Carlo slack).
+    Each of `trials` processes starts at M, the slowest start the round
+    bound covers, and, per round, decays via superlinear_step with
+    probability p_decay (at least 2/3, the guaranteed decay rate) or stays
+    put. After the prescribed number of rounds, the failure frequency
+    P[xi > e^2 kappa] must not exceed delta (plus Monte-Carlo slack).
     """
-    if p_decay < 2.0 / 3.0 - 1e-12 or p_decay > 1.0:
+    if not 2.0 / 3.0 - 1e-12 <= p_decay <= 1.0:
         raise ValueError(f"p_decay must be in [2/3, 1], got {p_decay}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    start = M if xi0 is None else xi0
-    if start > M or start < 0:
-        raise ValueError("need 0 <= xi0 <= M")
     T = superlinear_rounds(rho, kappa, M, delta)
     gen = rng.gen
-    xi = np.full(trials, float(start))
+    xi = np.full(trials, float(M))
     for _ in range(T):
         mask = gen.uniform(size=trials) < p_decay
         xi[mask] = superlinear_step(xi[mask], rho, kappa)

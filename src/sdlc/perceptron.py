@@ -213,7 +213,6 @@ def margin_perceptron_pass(
     indices: np.ndarray,
     h: Hypothesis,
     phase: str = "",
-    points: np.ndarray | None = None,
 ) -> PassResult:
     """One max-margin pass: the first stretch of margin_sweeps.
 
@@ -222,5 +221,5 @@ def margin_perceptron_pass(
     update_or_flip and ends the pass; the remaining points stay
     unpredicted.
     """
-    return next(margin_sweeps(oracle, indices, h, phase, points=points),
+    return next(margin_sweeps(oracle, indices, h, phase),
                 PassResult(h, False, np.empty(0, dtype=np.int64)))

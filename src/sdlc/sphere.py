@@ -144,8 +144,8 @@ def run_sphere(
     """
     if ds.n != schedule.n or ds.d != schedule.d:
         raise ValueError("schedule does not match the dataset shape")
-    if c_init <= 0.0:
-        raise ValueError(f"c_init must be positive, got {c_init}")
+    if not (math.isfinite(c_init) and c_init > 0.0):
+        raise ValueError(f"c_init must be positive and finite, got {c_init}")
     oracle = LabelOracle(ds)
 
     if schedule.fallback:

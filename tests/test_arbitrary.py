@@ -35,13 +35,16 @@ def test_weak_sweep_budget_examples():
 
 
 def test_boost_budget_reference_values():
-    b = compute_boost_budget(16, 0.01, 0.1, c_hat=1.0, alpha_hat=0.9)
-    assert b.runs_outer == 44
-    assert b.retries_per_round == 7  # ceil(ln(44 / 0.1))
+    b = compute_boost_budget(16, 0.01, 0.1, c_hat=1.0)
+    assert b.alpha == 1.0 - 1.0 / 64.0
+    assert b.runs_outer == 293  # ceil(ln(100) / ln(64 / 63))
+    assert b.retries_per_round == 8  # ceil(ln(293 / 0.1))
 
-    assert compute_boost_budget(4, 0.5, 0.1, alpha_hat=0.5).runs_outer == 1
-    # default residual fraction tracks the coverage target 1/(4d)
+    assert compute_boost_budget(4, 0.95, 0.1).runs_outer == 1
+    # the residual fraction tracks the coverage target 1/(4d): in [0.75, 1) for every d >= 1
     assert compute_boost_budget(2, 0.5, 0.1).alpha == pytest.approx(0.875)
+    for d in (1, 2, 10, 10**6):
+        assert 0.75 <= compute_boost_budget(d, 0.5, 0.1).alpha < 1.0
 
 
 def test_boost_budget_validation():
@@ -51,7 +54,6 @@ def test_boost_budget_validation():
         dict(eps=0.1, delta=0.0),
         dict(eps=0.1, delta=0.1, c_hat=0.0),
         dict(eps=0.1, delta=0.1, c_hat=1.5),
-        dict(eps=0.1, delta=0.1, alpha_hat=1.0),
     ):
         with pytest.raises(ValueError):
             compute_boost_budget(4, **kwargs)

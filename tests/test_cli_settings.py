@@ -144,6 +144,26 @@ def test_params_must_be_an_object(family, tmp_path, monkeypatch, capsys):
     assert not drawn
 
 
+@pytest.mark.parametrize("params, name", [
+    ('{"spread": NaN}', "spread"),
+    ('{"margin_floor": NaN}', "margin_floor"),
+    ('{"boundary_offset": Infinity}', "boundary_offset"),
+    ('{"spread": -Infinity}', "spread"),
+])
+def test_clustered_rejects_non_finite_params_before_drawing(params, name, tmp_path, monkeypatch, capsys):
+    # JSON's NaN and Infinity pass the type check; the range check names them
+    # before any point is drawn.
+    import sdlc.datasets
+
+    drawn = []
+    monkeypatch.setattr(sdlc.datasets, "_draw_clustered", lambda *a: drawn.append(a))
+    out = tmp_path / "ds.jsonl"
+    assert main(["generate", "--family", "clustered", "--params", params, "--n", "50", "--d", "3",
+                 "--out", str(out)]) == 1
+    _assert_one_line_error(capsys, f"{name} must be positive and finite")
+    assert not drawn and not out.exists()
+
+
 @pytest.mark.parametrize("config, needle", [
     ({"n_grid": ["1000"]}, "n_grid entry must be an integer"),
     ({"d_grid": [True]}, "d_grid entry must be an integer"),
@@ -152,7 +172,7 @@ def test_params_must_be_an_object(family, tmp_path, monkeypatch, capsys):
     ({"family": "nope"}, "unknown family 'nope'"),
     ({"n_grid": 1000}, "n_grid must be a nonempty list"),
     ({"family": "low_margin", "family_params": {"gama": 0.3}}, "gama"),
-    ({"alpha_hat": 1.5}, "alpha_hat must be in (0, 1)"),
+    ({"alpha_hat": 0.9}, "unknown config fields: ['alpha_hat']"),
     ({"seed": 1.5}, "seed must be an integer"),
     ({"mode": None}, "config field 'mode' is missing"),
     # every cell would fail alike: checked over the grid before the first one
@@ -255,7 +275,6 @@ _VALID = {
     "seeds": st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True),
     "delta": st.floats(0.01, 0.99), "eps": st.floats(0.01, 1.0),
     "c_prime": st.floats(0.1, 10.0), "c_init": st.floats(0.1, 20.0), "c_hat": st.floats(0.05, 1.0),
-    "alpha_hat": st.none() | st.floats(0.05, 0.95),
     "family": st.sampled_from(FAMILIES),
     "family_params": st.dictionaries(
         st.sampled_from(["num_clusters", "spread", "gamma", "rho", "k", "x"]),

@@ -1,10 +1,12 @@
 """Experiment grids, scaling fits, the verification battery, and the CLI."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -14,6 +16,7 @@ from sdlc.cli import main
 from sdlc.datasets import load_jsonl
 from sdlc.harness import (
     CSV_COLUMNS,
+    RUN_KEYS,
     ExperimentConfig,
     fit_scaling,
     run_experiment,
@@ -44,8 +47,8 @@ def test_config_validation():
     # and seeds in [0, 2**64), where RngStream keeps them apart.
     for name, value in [("n_grid", ["1000"]), ("d_grid", [True]), ("seeds", [1.5]),
                         ("seeds", [-1]), ("seeds", [2**64]), ("n_grid", [0]), ("d_grid", 5),
-                        ("delta", "0.1"), ("eps", None), ("c_prime", True), ("alpha_hat", "x"),
-                        ("alpha_hat", 1.0), ("family", "nope"), ("out", 3)]:
+                        ("delta", "0.1"), ("eps", None), ("c_prime", True), ("family", "nope"),
+                        ("out", 3)]:
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(mode="sphere", **{name: value})
     for family, params in [("low_margin", {"gama": 0.3}), ("uniform", {"rho": 0.5}),
@@ -56,6 +59,19 @@ def test_config_validation():
     assert ExperimentConfig(mode="sphere", seeds=[0, 2**64 - 1], c_prime=80).c_prime == 80
     # eps = 1.0 is the explicit "no coverage requirement" setting
     assert ExperimentConfig(mode="arbitrary", eps=1.0).eps == 1.0
+
+
+def test_readme_config_keys_exist():
+    # Every lower-case key the README's "keys it reads" table names is one a
+    # config file may hold: a key that left ExperimentConfig leaves the table.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = fh.read().split("| subcommand | keys it reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()]
+    commands = {command.strip().strip("`") for command, _ in rows}
+    keys = {key for _, read in rows for key in re.findall(r"`([a-z_]+)`", read)} - commands
+    assert len(rows) == 6 and "generate" in commands
+    assert keys <= {f.name for f in dataclasses.fields(ExperimentConfig)} | set(RUN_KEYS)
 
 
 def test_config_round_trip_and_unknown_fields():

@@ -5,13 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import sdlc.oracles
 from sdlc.datasets import LabeledDataset, predict_labels
 from sdlc.errors import InfeasibleParametersError, RegimeError
 from sdlc.geometry import RngStream, sample_sphere, sample_sphere_batch
 from sdlc.oracles import (
     _BLOCK_POINTS,
     TailCheckResult,
+    _best_margin_c,
     greedy_adversarial_order,
     mc_best_mistake_margin,
     mc_disagreement_mass,
@@ -77,18 +81,10 @@ def test_disagreement_mass_rejects_empty_trials():
         mc_disagreement_mass(3, 0.5, 0, 200, vrng())
 
 
-@pytest.mark.parametrize("kwargs, name", [
-    ({"check": "median"}, "check"),
-    ({"check": "tail", "tail_delta": 0.0}, "tail_delta"),
-    ({"check": "tail", "tail_delta": 1.0}, "tail_delta"),
-    ({"check": "tail", "tail_delta": 1.5}, "tail_delta"),
-    ({"check": "tail", "tail_delta": -0.1}, "tail_delta"),
-    ({"check": "tail", "tail_delta": math.nan}, "tail_delta"),
-], ids=["median", "delta=0", "delta=1", "delta=1.5", "delta=-0.1", "delta=nan"])
-def test_disagreement_mass_rejects_arguments_before_drawing(kwargs, name):
+def test_disagreement_mass_rejects_a_check_before_drawing():
     rng = vrng()
-    with pytest.raises(ValueError, match=name):
-        mc_disagreement_mass(3, 0.5, 10_000, 1000, rng, **kwargs)
+    with pytest.raises(ValueError, match="check"):
+        mc_disagreement_mass(3, 0.5, 10_000, 1000, rng, check="median")
     assert "gen" not in vars(rng)   # the stream's generator was never built
 
 
@@ -112,10 +108,13 @@ def _reference_disagreement_fractions(d, theta, n, trials, rng):
 
 
 @pytest.mark.parametrize("check", ["mean", "tail"])
-def test_disagreement_mass_matches_per_trial_reference(check):
-    # 3000 points a trial, 600k in all: many blocks, most of them ending inside a trial
+def test_disagreement_mass_matches_per_trial_reference(check, monkeypatch):
+    # 3000 points a trial, 600k in all: many blocks, most of them ending inside
+    # a trial. At the tail level 0.01 both sides count no exceedance, so the
+    # tail check runs at 0.3, where the count is checked.
+    monkeypatch.setattr(sdlc.oracles, "TAIL_DELTA", 0.3)
     d, theta, n, trials = 3, math.pi / 4, 3000, 200
-    fast = mc_disagreement_mass(d, theta, n, trials, vrng(8), check=check, tail_delta=0.3)
+    fast = mc_disagreement_mass(d, theta, n, trials, vrng(8), check=check)
     fractions = _reference_disagreement_fractions(d, theta, n, trials, vrng(8))
     p = theta / math.pi
     if check == "mean":
@@ -207,20 +206,25 @@ def test_best_mistake_margin_validation():
         mc_best_mistake_margin(4, 0.5, 1000, 0.5, 1, 200, vrng())
     with pytest.raises(RegimeError):
         mc_best_mistake_margin(4, 0.5, 100, 8.0, 2, 200, vrng())
-    with pytest.raises(RegimeError):
-        mc_best_mistake_margin(4, 0.5, 10_000, 4.0, 1, 200, vrng(), c=1.5)
-    with pytest.raises(RegimeError):
-        mc_best_mistake_margin(4, 0.5, 100_000, 1.0, 1, 200, vrng(), c=3.0)
 
 
-@pytest.mark.parametrize("s, c, name", [(math.nan, None, "s"), (math.inf, None, "s"),
-                                         (4.0, math.nan, "c"), (4.0, math.inf, "c")],
-                         ids=["s=nan", "s=inf", "c=nan", "c=inf"])
-def test_best_mistake_margin_rejects_non_finite_constants(s, c, name):
+@pytest.mark.parametrize("s", [math.nan, math.inf], ids=["s=nan", "s=inf"])
+def test_best_mistake_margin_rejects_non_finite_s(s):
     rng = vrng()
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        mc_best_mistake_margin(4, 0.5, 10_000, s, 1, 200, rng, c=c)
+    with pytest.raises(ValueError, match="^s must be finite"):
+        mc_best_mistake_margin(4, 0.5, 10_000, s, 1, 200, rng)
     assert "gen" not in vars(rng)
+
+
+@given(st.integers(2, 200), st.floats(1e-300, 1.0))
+@example(2, 1e-300).via("smallest ratio")
+@example(200, 1.0).via("largest ratio")
+def test_best_margin_c_meets_the_case1_regime(d, ratio):
+    # Case 1 needs c >= 2 and exp(-d c / 4) <= ratio; the c it computes
+    # meets both, up to the rounding of ln and exp.
+    c = _best_margin_c(d, ratio)
+    assert c >= 2.0
+    assert math.exp(-d * c / 4.0) <= ratio * (1.0 + 1e-12)
 
 
 def test_best_mistake_margin_rejects_empty_trials():
@@ -327,13 +331,26 @@ def test_superlinear_validation():
         superlinear_rounds(0.0, 0.01, 1.0, 0.1)
     with pytest.raises(ValueError):
         superlinear_rounds(0.5, 1.5, 1.0, 0.1)
+    with pytest.raises(ValueError, match="^M must be positive and finite"):
+        superlinear_rounds(0.5, 0.01, math.inf, 0.1)   # not an OverflowError from math.ceil
     with pytest.raises(ValueError):
         simulate_superlinear(0.5, 0.01, 1.0, 0.5, 0.1, 200, vrng())
-    with pytest.raises(ValueError):
-        simulate_superlinear(0.5, 0.01, 1.0, 0.8, 0.1, 200, vrng(), xi0=2.0)
     with pytest.raises(ValueError, match="trials must be positive"):
         simulate_superlinear(0.5, 0.01, 1.0, 0.8, 0.1, 0, vrng())
 
+
+@pytest.mark.parametrize("args, name", [
+    ((0.5, 0.01, math.nan, 0.8, 0.1), "M"),
+    ((0.5, 0.01, math.inf, 0.8, 0.1), "M"),
+    ((0.5, 0.01, 1.0, math.nan, 0.1), "p_decay"),
+    ((0.5, 0.01, 1.0, 0.8, math.nan), "delta"),
+], ids=["M=nan", "M=inf", "p_decay=nan", "delta=nan"])
+def test_superlinear_rejects_non_finite_arguments_before_drawing(args, name):
+    # each is named before the stream's generator is built
+    rng = vrng()
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        simulate_superlinear(*args, 200, rng)
+    assert "gen" not in vars(rng)
 
 def test_superlinear_simulation_within_delta():
     res = simulate_superlinear(0.5, 0.01, 1.0, 2.0 / 3.0, 0.1, 5000, vrng(6))
@@ -342,7 +359,7 @@ def test_superlinear_simulation_within_delta():
 
 
 def test_superlinear_start_below_target():
-    res = simulate_superlinear(0.5, 0.5, 1.0, 2.0 / 3.0, 0.1, 200, vrng(7), xi0=0.01)
+    res = simulate_superlinear(0.5, 0.5, 0.01, 2.0 / 3.0, 0.1, 200, vrng(7))
     assert res.empirical == 0.0
 
 

@@ -192,14 +192,14 @@ def test_pass_flips_on_annihilation():
     assert res.hypothesis.w.tolist() == [-1.0]
 
 
-def test_pass_scores_given_points_and_reports_labels():
+def test_sweeps_score_given_points_and_report_labels():
     # the rows in `points` are scored and updated on in place of the
     # oracle's own points; the transcript lists what was revealed, in order
     w_truth = np.array([0.0, 1.0])
     oracle = _oracle_for(np.array([[R2, R2], [R2, -R2], [-R2, R2]]), w_truth)
     frame = np.array([[0.2, 0.0], [0.9, 0.0], [-0.5, 0.0]])  # margins under h: 0.2, 0.9, -0.5
     h = Hypothesis(np.array([1.0, 0.0]))
-    res = margin_perceptron_pass(oracle, np.array([0, 1, 2]), h, points=frame)
+    res = next(margin_sweeps(oracle, np.array([0, 1, 2]), h, "", points=frame))
     # order by |margin|: index 1 (0.9, predicted +1, truth -1) is the first mistake
     assert res.updated and res.committed.tolist() == [1]
     assert [(r.index, r.truth) for r in oracle.transcript.records()] == [(1, -1)]

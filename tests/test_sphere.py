@@ -64,13 +64,13 @@ def test_schedule_validation():
 
 def test_run_rejects_nonpositive_c_init():
     # checked up front, so also in fallback mode, which never spends the
-    # initializer's budget ceil(c_init * d * ln(1/delta))
+    # initializer's budget ceil(c_init * d * ln(1/delta)); NaN and inf too
     for n, d, fallback in ((100, 3, False), (100, 10, True)):
         ds = gen_uniform_sphere(n, d, RngStream(0))
         schedule = make_schedule(n, d, 0.1)
         assert schedule.fallback == fallback
-        for c_init in (0.0, -1.0):
-            with pytest.raises(ValueError, match="c_init"):
+        for c_init in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_init must be positive and finite"):
                 run_sphere(ds, schedule, RngStream(0, 1), c_init)
 
 
@@ -249,8 +249,8 @@ def test_run_arms_contract_toward_the_truth(monkeypatch):
     calls = {PHASE_TRAIN_W: 0, PHASE_TRAIN_V: 0}
     chains = {PHASE_TRAIN_W: [], PHASE_TRAIN_V: []}
 
-    def observed_pass(oracle, indices, h, phase, points=None):
-        res = margin_perceptron_pass(oracle, indices, h, phase, points)
+    def observed_pass(oracle, indices, h, phase):
+        res = margin_perceptron_pass(oracle, indices, h, phase)
         t = calls[phase]
         calls[phase] += 1
         if res.updated:

@@ -130,17 +130,30 @@ def check_family_params(family: str, params) -> None:
             raise ValueError(f"family parameter {name} must be {kind}, got {value!r}")
 
 
+def check_family_values(family: str, params: dict, n: int, d: int) -> None:
+    """Reject a value of a family parameter out of range at n and d, or a grid n past its lattice."""
+    for name, value in params.items():
+        if name == "num_clusters" and not 1 <= value <= n:
+            raise ValueError("num_clusters must be in [1, n]")
+        if name in ("spread", "boundary_offset", "margin_floor") and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {float(value)}")
+        if name == "gamma" and not 0.0 < value < 1.0:
+            raise ValueError(f"gamma must be in (0, 1), got {float(value)}")
+        if name == "rho" and not 0.0 <= value <= 1.0:
+            raise ValueError(f"rho must be in [0, 1], got {float(value)}")
+        if name == "k" and not 1 <= value <= d:
+            raise ValueError(f"subspace dimension must be in [1, d], got {value}")
+    # _gen_grid walks the shells of radius 1 to 40 at most: 81^d - 1 points,
+    # from d = 8 on more than fit in memory.
+    if family == "grid" and n >= 81 ** min(d, 8):
+        raise ValueError(f"grid family cannot produce {n} points in dimension {d}")
+
+
 def _gen_clustered(n: int, d: int, params: dict, rng: RngStream) -> LabeledDataset:
     num_clusters = params.get("num_clusters", min(5, n))
     spread = float(params.get("spread", 0.02))
     offset = float(params.get("boundary_offset", 0.1))
     floor = float(params.get("margin_floor", 0.02))
-    if num_clusters < 1 or num_clusters > n:
-        raise ValueError("num_clusters must be in [1, n]")
-    for name, value in (("spread", spread), ("boundary_offset", offset), ("margin_floor", floor)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-
     w_star = sample_sphere(d, rng.child(1))
     crng = rng.child(2)
     centers = []
@@ -240,8 +253,6 @@ def _draw_clustered(n: int, centers: np.ndarray, spread: float, floor: float,
 
 def _gen_low_margin(n: int, d: int, params: dict, rng: RngStream) -> LabeledDataset:
     gamma = float(params.get("gamma", 0.05))
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     w_star = sample_sphere(d, rng.child(1))
     prng = rng.child(2)
     points = np.empty((n, d))
@@ -264,10 +275,6 @@ def _gen_low_margin(n: int, d: int, params: dict, rng: RngStream) -> LabeledData
 def _gen_subspace_degenerate(n: int, d: int, params: dict, rng: RngStream) -> LabeledDataset:
     rho = float(params.get("rho", 0.8))
     k = params.get("k", max(1, d // 2))
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
-    if not 1 <= k <= d:
-        raise ValueError(f"subspace dimension must be in [1, d], got {k}")
     w_star = sample_sphere(d, rng.child(1))
     basis = _orthonormal_basis(d, k, rng.child(2))
     m = int(round(rho * n))
@@ -289,16 +296,10 @@ def _gen_grid(n: int, d: int, params: dict, rng: RngStream) -> LabeledDataset:
     Each shell (all integer vectors of infinity-norm `radius`) is walked
     lazily in lexicographic order, so only the n points kept are built.
     """
-    points: list[tuple[int, ...]] = []
-    for radius in range(1, 41):  # lattice big enough for any sane n; avoid runaway loops
-        cube = itertools.product(range(-radius, radius + 1), repeat=d)
-        shell = (row for row in cube if max(map(abs, row)) == radius)
-        points.extend(itertools.islice(shell, n - len(points)))
-        if len(points) == n:
-            break
-    else:
-        raise ValueError(f"grid family cannot produce {n} points in dimension {d}")
-    pts = np.asarray(points, dtype=np.float64)
+    shells = (row for radius in itertools.count(1)
+              for row in itertools.product(range(-radius, radius + 1), repeat=d)
+              if max(map(abs, row)) == radius)
+    pts = np.asarray(list(itertools.islice(shells, n)), dtype=np.float64)
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     w_star = sample_sphere(d, rng.child(1))
     return LabeledDataset(pts, predict_labels(pts, w_star), w_star)
@@ -312,6 +313,7 @@ def gen_arbitrary(family: str, n: int, d: int, params: dict | None, rng: RngStre
         raise ValueError(f"dimension must be >= 1, got {d}")
     params = {} if params is None else params
     check_family_params(family, params)
+    check_family_values(family, params, n, d)
     if family == "clustered":
         return _gen_clustered(n, d, params, rng)
     if family == "low_margin":

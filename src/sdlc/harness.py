@@ -1,11 +1,10 @@
-"""Experiment grids, scaling fits, and report emission.
+"""Experiment grids, scaling fits, report emission, and the verify battery.
 
 One ExperimentConfig describes a grid of (d, n, seed) trials in one of
-four modes: the two-arm sphere learner, the boosted arbitrary-dataset
-learner, an order-policy baseline, or the Monte-Carlo verification
-battery. Every trial derives its randomness from (seed, fixed stream
-id), so a config reruns to identical mistake counts; only runtime
-fields vary between runs.
+three modes: the two-arm sphere learner, the boosted arbitrary-dataset
+learner, or an order-policy baseline. Every trial derives its randomness
+from (seed, fixed stream id), so a config reruns to identical mistake
+counts; only runtime fields vary between runs.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .arbitrary import DEFAULT_C_HAT, compute_boost_budget, strong_run
 from .datasets import (
-    LabeledDataset, check_family_params, check_size, gen_arbitrary, gen_uniform_sphere,
+    LabeledDataset, check_family_params, check_family_values, check_size, gen_arbitrary, gen_uniform_sphere,
 )
 from .geometry import RngStream
 from .oracles import (
@@ -44,7 +43,7 @@ STREAM_LEARNER = 1
 STREAM_BASELINE = 2
 STREAM_VERIFY = 3
 
-MODES = ("sphere", "arbitrary", "baseline", "verify")
+MODES = ("sphere", "arbitrary", "baseline")
 ORDERS = ("random", "greedy")
 CSV_COLUMNS = ("mode", "d", "n", "seed", "mistakes", "coverage", "runtime_ms")
 # The keys of a single run that a config file may hold besides the
@@ -144,7 +143,6 @@ class Report:
     rows: list[dict]
     cells: list[dict]
     fits: list[dict]
-    oracle_results: list[dict]
     errors: list[dict]
 
     def to_dict(self, include_runtime: bool = True) -> dict:
@@ -158,7 +156,6 @@ class Report:
             "rows": rows,
             "cells": cells,
             "fits": self.fits,
-            "oracle_results": self.oracle_results,
             "errors": self.errors,
         }
 
@@ -226,10 +223,8 @@ def run_single(cfg: ExperimentConfig, ds: LabeledDataset, seed: int) -> tuple[Tr
         return res.transcript, {"eps": eps, "delta": delta, "coverage": res.coverage,
                                 "rounds_used": res.rounds_used, "attempts": res.attempts,
                                 "partial": res.partial}
-    if cfg.mode == "baseline":
-        order_run = random_order_run if cfg.order == "random" else greedy_adversarial_order
-        return order_run(ds, RngStream(seed, STREAM_BASELINE)), {"order": cfg.order}
-    raise ValueError(f"run_single does not handle mode {cfg.mode!r}")
+    order_run = random_order_run if cfg.order == "random" else greedy_adversarial_order
+    return order_run(ds, RngStream(seed, STREAM_BASELINE)), {"order": cfg.order}
 
 
 def run_trial(cfg: ExperimentConfig, d: int, n: int, seed: int) -> dict:
@@ -290,36 +285,34 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """Execute the full grid; cell failures are recorded, not raised.
 
     A setting that would fail every cell of a d or an (n, d) raises
-    before the first cell runs: a points array larger than memory, or a
+    before the first cell runs: a points array larger than memory, a
+    family parameter value out of range, a sphere n below 4, or a
     boosting budget that compute_boost_budget rejects.
     """
     rows: list[dict] = []
     errors: list[dict] = []
-    oracle_results: list[dict] = []
 
-    if cfg.mode == "verify":
-        oracle_results = run_verify(cfg.seeds[0])
-    else:
-        for d in cfg.d_grid:
-            for n in cfg.n_grid:
-                check_size(n, d)
-            if cfg.mode == "arbitrary" and cfg.eps < 1.0:
-                compute_boost_budget(d, cfg.eps, cfg.delta, cfg.c_hat)
-        for d in cfg.d_grid:
-            for n in cfg.n_grid:
-                for seed in cfg.seeds:
-                    try:
-                        rows.append(run_trial(cfg, d, n, seed))
-                    except Exception as exc:  # noqa: BLE001 - cell isolation
-                        errors.append({"mode": cfg.mode, "d": d, "n": n,
-                                       "seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+    for d in cfg.d_grid:
+        for n in cfg.n_grid:
+            check_size(n, d)
+            check_family_values(cfg.family, cfg.family_params, n, d)
+            if cfg.mode == "sphere":
+                make_schedule(n, d, cfg.delta, cfg.c_prime)
+        if cfg.mode == "arbitrary" and cfg.eps < 1.0:
+            compute_boost_budget(d, cfg.eps, cfg.delta, cfg.c_hat)
+    for d in cfg.d_grid:
+        for n in cfg.n_grid:
+            for seed in cfg.seeds:
+                try:
+                    rows.append(run_trial(cfg, d, n, seed))
+                except Exception as exc:  # noqa: BLE001 - cell isolation
+                    errors.append({"mode": cfg.mode, "d": d, "n": n,
+                                   "seed": seed, "error": f"{type(exc).__name__}: {exc}"})
 
     cells = []
     for d in cfg.d_grid:
         for n in cfg.n_grid:
             got = [r for r in rows if r["d"] == d and r["n"] == n]
-            if not got and cfg.mode == "verify":
-                continue
             stats = {"mode": cfg.mode, "d": d, "n": n, "trials": len(got)}
             if got:
                 ms = np.array([r["mistakes"] for r in got], dtype=float)
@@ -340,7 +333,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             fits.append({"mode": cfg.mode, "d": d,
                          "n_values": sorted(p[0] for p in pts), **fit_scaling(pts)})
 
-    report = Report(cfg.to_dict(), rows, cells, fits, oracle_results, errors)
+    report = Report(cfg.to_dict(), rows, cells, fits, errors)
     if cfg.out:
         stem = cfg.out[:-5] if cfg.out.endswith(".json") else cfg.out
         with open(stem + ".json", "w") as fh:

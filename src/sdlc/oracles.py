@@ -302,7 +302,7 @@ def superlinear_rounds(rho: float, kappa: float, M: float, delta: float) -> int:
         raise ValueError(f"M must be positive and finite, got {M}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    inner = max(math.log(math.log(1.0 / kappa)), math.log(math.log(M + 1.0)))
+    inner = max(math.log(math.log(1.0 / kappa)), math.log(math.log1p(M)))
     return max(0, math.ceil(1.5 * (inner / rho + math.log(math.e / delta))))
 
 

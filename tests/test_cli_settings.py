@@ -179,6 +179,14 @@ def test_clustered_rejects_non_finite_params_before_drawing(params, name, tmp_pa
     ({"mode": "arbitrary", "n_grid": [100], "seeds": [0, 1], "c_hat": 5e-324}, "c_hat is too small"),
     ({"n_grid": [200, 10**12]}, "n=1000000000000 "),
     ({"mode": "baseline", "d_grid": [3, 10**12]}, "d=1000000000000 "),
+    ({"family": "low_margin", "family_params": {"gamma": 2.0}}, "gamma must be in (0, 1), got 2.0"),
+    ({"family": "subspace_degenerate", "family_params": {"k": 9}}, "must be in [1, d], got 9"),
+    ({"family": "clustered", "family_params": {"spread": -1.0}}, "spread must be positive and finite"),
+    ({"family": "clustered", "family_params": {"num_clusters": 100}, "n_grid": [50]},
+     "num_clusters must be in [1, n]"),
+    ({"family": "grid", "d_grid": [1], "n_grid": [500]}, "cannot produce 500 points in dimension 1"),
+    ({"n_grid": [3, 100], "seeds": [0, 1]}, "need at least 4 points to schedule, got 3"),
+    ({"mode": "verify"}, "mode must be one of ('sphere', 'arbitrary', 'baseline')"),
 ])
 def test_bad_report_config_exits_1_before_any_cell(config, needle, tmp_path, monkeypatch, capsys):
     drawn = _no_datasets(monkeypatch)
@@ -188,6 +196,17 @@ def test_bad_report_config_exits_1_before_any_cell(config, needle, tmp_path, mon
     assert main(["report", "--config", cfg]) == 1
     _assert_one_line_error(capsys, needle)
     assert not drawn
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["report", "--mode", "nope"], "argument --mode: invalid choice: 'nope'"),
+    (["run-sphere", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+    (["nope"], "invalid choice: 'nope'"),
+    (["generate", "--nn", "5"], "unrecognized arguments: --nn 5"),
+])
+def test_usage_errors_exit_1(argv, needle, capsys):
+    assert main(argv) == 1
+    _assert_one_line_error(capsys, needle)
 
 
 @pytest.mark.parametrize("argv, config", [

@@ -12,15 +12,17 @@ import sys
 
 import pytest
 
-from sdlc.cli import main
+from sdlc.cli import _RUN_LINES, build_parser, main
 from sdlc.datasets import load_jsonl
 from sdlc.harness import (
     CSV_COLUMNS,
+    MODES,
     RUN_KEYS,
     ExperimentConfig,
     fit_scaling,
     run_experiment,
     run_trial,
+    run_verify,
 )
 
 
@@ -64,13 +66,14 @@ def test_config_validation():
 def test_readme_config_keys_exist():
     # Every lower-case key the README's "keys it reads" table names is one a
     # config file may hold: a key that left ExperimentConfig leaves the table.
+    # Its rows are the parser's subcommands.
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         table = fh.read().split("| subcommand | keys it reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     rows = [line.split("|")[1:3] for line in table.splitlines()]
     commands = {command.strip().strip("`") for command, _ in rows}
     keys = {key for _, read in rows for key in re.findall(r"`([a-z_]+)`", read)} - commands
-    assert len(rows) == 6 and "generate" in commands
+    assert commands == set(next(a for a in build_parser()._actions if a.dest == "command").choices)
     assert keys <= {f.name for f in dataclasses.fields(ExperimentConfig)} | set(RUN_KEYS)
 
 
@@ -130,8 +133,14 @@ def test_run_trial_modes():
     assert row["coverage"] == 1.0
     row = run_trial(ExperimentConfig(mode="arbitrary", eps=0.1), 3, 200, 0)
     assert 0.9 <= row["coverage"] <= 1.0
-    with pytest.raises(ValueError):
-        run_trial(ExperimentConfig(mode="verify"), 3, 200, 0)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        ExperimentConfig(mode="verify")
+
+
+def test_every_grid_mode_has_a_single_run_subcommand():
+    # The grid measures learners: each mode is one that run-sphere,
+    # run-arbitrary or baseline runs alone.
+    assert set(_RUN_LINES) == set(MODES)
 
 
 # ---------------------------------------------------------------- experiments
@@ -166,12 +175,12 @@ def test_run_experiment_grid_and_fits(tmp_path):
 
 
 def test_run_experiment_records_cell_failures():
-    cfg = ExperimentConfig(mode="baseline", d_grid=[2], n_grid=[7000],
-                           seeds=[0], family="grid")
+    cfg = ExperimentConfig(mode="baseline", d_grid=[2], n_grid=[50],
+                           seeds=[0], family="clustered", family_params={"margin_floor": 0.9})
     report = run_experiment(cfg)
     assert not report.rows
     assert len(report.errors) == 1
-    assert "grid family cannot produce" in report.errors[0]["error"]
+    assert report.errors[0]["error"].startswith("InfeasibleParametersError: ")
     assert report.cells[0]["trials"] == 0
     assert not report.fits
 
@@ -190,14 +199,13 @@ def test_report_json_is_deterministic_without_runtime():
 VERIFY_SEED0_DIGEST = "81d8b9cc8f90c0b06122fb59afac908fd6582f5e37804a77daa2f1af97bb6482"
 
 
-def test_run_experiment_verify_mode():
-    report = run_experiment(ExperimentConfig(mode="verify"))
-    assert not report.rows and not report.cells and not report.fits
-    assert len(report.oracle_results) == 12
-    for check in report.oracle_results:
+def test_run_verify_seed0():
+    results = run_verify(0)
+    assert len(results) == 12
+    for check in results:
         assert check["passed"], check["name"]
         assert check["empirical"] <= check["bound"] + 3.0 * check["std_err"] + 1e-12
-    text = json.dumps(report.oracle_results, sort_keys=True)
+    text = json.dumps(results, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_SEED0_DIGEST
 
 
@@ -338,8 +346,8 @@ def test_cli_verify_exit_codes(monkeypatch, tmp_path, capsys):
 def test_cli_report_flags_failures(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "mode": "baseline", "d_grid": [2], "n_grid": [7000],
-        "seeds": [0], "family": "grid",
+        "mode": "baseline", "d_grid": [2], "n_grid": [50],
+        "seeds": [0], "family": "clustered", "family_params": {"margin_floor": 0.9},
     }))
     assert main(["report", "--config", str(cfg)]) == 2
     assert "cell failed" in capsys.readouterr().err

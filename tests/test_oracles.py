@@ -313,6 +313,8 @@ def test_kernel_peak_memory_does_not_grow_with_n_or_m(kernel, at_verify, far):
 def test_superlinear_reference_values():
     assert superlinear_rounds(0.5, 0.01, 1.0, 0.1) == 10
     assert superlinear_rounds(0.125, 1e-6, 1.0, 0.1) == 37
+    # M + 1 rounds to 1 below about 1e-16: a tiny M reads as one just above it.
+    assert superlinear_rounds(0.5, 0.01, 1e-17, 0.1) == superlinear_rounds(0.5, 0.01, 1e-15, 0.1)
     assert superlinear_step(1.0, 0.5, 0.01) == pytest.approx(0.1)
     assert superlinear_step(0.1, 0.5, 0.01) == pytest.approx(0.0316227766016838)
 

@@ -7,7 +7,7 @@ are margins, whose last bits depend on where a row sits in its BLAS block.
 The digests were computed before the windowed ordered-selection kernel
 replaced the full-argsort passes and the fixed-block random order.
 The Monte-Carlo battery's output is pinned the same way in
-`test_harness.py::test_run_experiment_verify_mode`, which runs it anyway.
+`test_harness.py::test_run_verify_seed0`, which runs it anyway.
 """
 
 import hashlib

@@ -26,7 +26,7 @@ import dataclasses
 import json
 import sys
 
-from .datasets import FAMILIES, load_jsonl, save_jsonl
+from .datasets import FAMILIES, check_family_values, load_jsonl, save_jsonl
 from .fanout import ordered_map
 from .harness import (
     MODES, ORDERS, RUN_KEYS, ExperimentConfig, make_dataset, run_experiment, run_single, run_verify,
@@ -66,7 +66,9 @@ def _settings(args) -> tuple[ExperimentConfig, dict]:
 
 def _dataset(args, cfg: ExperimentConfig, run: dict):
     if args.data:
-        return load_jsonl(args.data)
+        ds = load_jsonl(args.data)
+        check_family_values(cfg.family, cfg.family_params, ds.n, ds.d)
+        return ds
     return make_dataset(cfg.family, run["n"], run["d"], cfg.family_params, run["seed"])
 
 

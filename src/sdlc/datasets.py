@@ -57,11 +57,19 @@ _PARSE_LINES = 1 << 8
 _JSON_SPACE = b" \t\n\r"
 # Rows that LabeledDataset checks at a time.
 _CHECK_BLOCK = 1 << 14
+# Datasets hold fewer points than this, so the learners' index arrays are int32.
+MAX_POINTS = 2**31
 
 
 @dataclass
 class LabeledDataset:
-    """Points (n, d), labels (n,) in {-1,+1}, optional ground-truth normal."""
+    """Points (n, d) as float64, labels (n,) in {-1,+1} as int8, optional ground-truth normal.
+
+    n is below MAX_POINTS (2**31), so every index into the points fits an
+    int32. The labels are checked in the dtype they are given in and only
+    then stored as int8, so a value such as 257 is rejected, not wrapped
+    to 1.
+    """
 
     points: np.ndarray
     labels: np.ndarray
@@ -69,17 +77,22 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.points.ndim != 2:
             raise ValueError(f"points must be a 2-D array, got shape {self.points.shape}")
-        if self.labels.shape != (self.points.shape[0],):
+        if self.n >= MAX_POINTS:
+            raise ValueError(f"n={self.n} points are too many: the learners index at most "
+                             f"{MAX_POINTS - 1} with 32-bit integers")
+        if labels.shape != (self.n,):
             raise ValueError("labels must be a 1-D array matching the point count")
         # Checked _CHECK_BLOCK rows at a time, so no check makes an n-sized temporary.
         blocks = [slice(start, start + _CHECK_BLOCK) for start in range(0, self.n, _CHECK_BLOCK)]
         if not all(np.isfinite(self.points[b]).all() for b in blocks):
             raise ValueError("points contain non-finite coordinates")
-        if not all(((self.labels[b] == 1) | (self.labels[b] == -1)).all() for b in blocks):
+        if labels.dtype.kind not in "biuf" or not all(
+                ((labels[b] == 1) | (labels[b] == -1)).all() for b in blocks):
             raise ValueError("labels must be -1 or +1")
+        self.labels = labels.astype(np.int8, copy=False)
         if self.ground_truth is not None:
             self.ground_truth = as_vector(self.ground_truth, self.d)
 
@@ -326,12 +339,21 @@ def gen_arbitrary(family: str, n: int, d: int, params: dict | None, rng: RngStre
 
 
 def split_buckets(n: int, num_buckets: int, rng: RngStream) -> list[np.ndarray]:
-    """Random partition of range(n) into num_buckets parts, sizes within 1."""
+    """Random partition of range(n), n < MAX_POINTS, into num_buckets sorted parts, sizes within 1.
+
+    The parts are int32 views of one permutation buffer, each sorted in
+    place: rng.gen.permutation(n), split and sorted, with no copy.
+    """
     if num_buckets < 1:
         raise ValueError("bucket count must be >= 1")
     if num_buckets > n:
         raise ValueError(f"cannot split {n} points into {num_buckets} nonempty buckets")
-    return [np.sort(part) for part in np.array_split(rng.gen.permutation(n), num_buckets)]
+    perm = np.arange(n, dtype=np.int32)
+    rng.gen.shuffle(perm)  # the values of rng.gen.permutation(n)
+    parts = np.array_split(perm, num_buckets)
+    for part in parts:
+        part.sort()
+    return parts
 
 
 def check_size(n: int, d: int) -> None:
@@ -410,7 +432,7 @@ def load_jsonl(path: str) -> LabeledDataset:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedRecordError(1, f"bad header: {exc}") from None
         points = np.empty((n, d))
-        labels = np.empty(n, dtype=np.int64)
+        labels = np.empty(n, dtype=np.int8)
         read = 0  # record lines parsed so far
         with ordered_map(_parse_records, _line_blocks(fh, size), (fh.fileno(), d)) as parsed:
             for block_points, block_labels, error in parsed:
@@ -460,7 +482,7 @@ def _parse_records(fd: int, d: int, block) -> tuple:
     data = block if isinstance(block, bytes) else os.pread(fd, block[1] - block[0], block[0])
     count = data.count(b"\n") + (not data.endswith(b"\n"))
     points = np.empty((count, d))
-    labels = np.empty(count, dtype=np.int64)
+    labels = np.empty(count, dtype=np.int8)
     lines = io.BytesIO(data)  # split as iterating over the file splits
     for start in range(0, count, _PARSE_LINES):
         run = list(itertools.islice(lines, _PARSE_LINES))

@@ -148,5 +148,5 @@ def predict_sign(value: float) -> int:
 
 
 def predict_signs(values) -> np.ndarray:
-    """Vectorised predict_sign: an int64 array of +1 (value >= 0) and -1."""
-    return np.where(np.asarray(values) >= 0.0, 1, -1).astype(np.int64, copy=False)
+    """Vectorised predict_sign: an int8 array of +1 (value >= 0) and -1."""
+    return np.where(np.asarray(values) >= 0.0, np.int8(1), np.int8(-1))

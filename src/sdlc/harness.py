@@ -87,8 +87,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a nonempty list, got {values!r}")
             for value in values:
                 _check_int(f"{name} entry", value, seed=name == "seeds")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} entries must be distinct, got {values!r}")
         for name in ("delta", "eps", "c_prime", "c_init", "c_hat"):
             value = getattr(self, name)
             if type(value) not in _NUMBER_TYPES:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, split_buckets
 from .geometry import RngStream, predict_signs, sample_sphere
-from .perceptron import Hypothesis, margin_perceptron_pass, margin_sweeps
+from .perceptron import Hypothesis, margin_perceptron_pass, margin_sweeps, score_rows
 from .transcript import LabelOracle, Transcript
 
 DEFAULT_C_PRIME = 4.0
@@ -151,31 +151,31 @@ def run_sphere(
     if schedule.fallback:
         # A single arm over the whole set, re-sorting by margin after every update.
         h = Hypothesis(sample_sphere(ds.d, rng.child(0)))
-        for _ in margin_sweeps(oracle, np.arange(ds.n), h, PHASE_TRAIN_W):
+        for _ in margin_sweeps(oracle, np.arange(ds.n, dtype=np.int32), h, PHASE_TRAIN_W):
             pass
         return SphereRunResult(oracle.transcript, schedule)
 
     prefix_size = init_prefix_size(ds.n)
-    prefix = np.arange(prefix_size, dtype=np.int64)
+    prefix = np.arange(prefix_size, dtype=np.int32)
     h0 = initialize_hypothesis(oracle, prefix, schedule.delta, rng.child(0), c_init)
     h = {"w": h0, "v": h0}
 
-    rest = np.arange(prefix_size, ds.n, dtype=np.int64)
-    buckets = split_buckets(rest.size, 2 * schedule.k, rng.child(1))
+    # The buckets split the points after the prefix: shifted in place, they hold dataset indices.
+    buckets = split_buckets(ds.n - prefix_size, 2 * schedule.k, rng.child(1))
+    for bucket in buckets:
+        bucket += prefix_size
 
     for t in range(schedule.k):
         for arm, bucket, phase in (("w", t, PHASE_TRAIN_W), ("v", schedule.k + t, PHASE_TRAIN_V)):
-            h[arm] = margin_perceptron_pass(oracle, rest[buckets[bucket]], h[arm], phase).hypothesis
+            h[arm] = margin_perceptron_pass(oracle, buckets[bucket], h[arm], phase).hypothesis
 
     # Cross-labeling: w labels what v trained on, v labels what w trained
     # on, so no point is ever predicted by a hypothesis its label touched.
-    w_side = rest[np.concatenate([buckets[t] for t in range(schedule.k)])]
-    v_side = rest[np.concatenate([buckets[schedule.k + t] for t in range(schedule.k)])]
     # Prefix points the initializer never reached (its budget ran out) go to w.
     mask = oracle.predicted_mask()
-    for todo, arm in ((v_side, "w"), (w_side, "v"), (prefix, "w")):
-        todo = todo[~mask[todo]]
-        margins = oracle.points[todo] @ h[arm].w
+    for parts, arm in ((buckets[schedule.k:], "w"), (buckets[:schedule.k], "v"), ([prefix], "w")):
+        todo = np.concatenate([part[~mask[part]] for part in parts])
+        margins = score_rows(oracle.points, h[arm].w, todo)
         oracle.predict_bulk(todo, predict_signs(margins), margins, PHASE_CROSS)
 
     assert oracle.all_predicted()

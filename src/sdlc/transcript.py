@@ -44,7 +44,7 @@ class Transcript:
         sliced from, and a caller writing to its arrays later leaves the
         logged records as they were.
         """
-        idx = np.array(indices, dtype=np.int64)
+        idx = np.array(indices, dtype=np.int32)
         if idx.size == 0:
             return
         cols = (idx, np.array(predictions, dtype=np.int8), np.array(truths, dtype=np.int8),
@@ -73,8 +73,9 @@ class Transcript:
     def columns(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str]]:
         """The logged chunks in order, as (indices, predictions, truths, margins, phase).
 
-        The arrays are the log's own, read-only: int64 indices, int8
-        predictions and truths, float64 margins, one phase per chunk.
+        The arrays are the log's own, read-only: int32 indices (a dataset
+        holds fewer than 2**31 points), int8 predictions and truths,
+        float64 margins, one phase per chunk.
         """
         yield from self._chunks
 
@@ -101,13 +102,18 @@ class LabelOracle:
     The points (and dimension) are public. Labels are private until
     predicted. The dataset's true separator is not exposed at all, so a
     learner holding only the oracle cannot read it.
+
+    Per point it keeps a predicted flag (bool) and an int32 stamp for
+    the duplicate check, 5 bytes; the dataset's n < 2**31 keeps every
+    position of a commit in an int32. A commit's int8 predictions are
+    read without a copy.
     """
 
     def __init__(self, ds: LabeledDataset):
         self._ds = ds
         self._labels = ds.labels
         self._predicted = np.zeros(ds.n, dtype=bool)
-        self._stamp = np.empty(ds.n, dtype=np.int64)
+        self._stamp = np.empty(ds.n, dtype=np.int32)
         self.transcript = Transcript()
 
     @property
@@ -164,24 +170,28 @@ class LabelOracle:
         mistake. A rejected call changes neither the predicted mask nor
         the transcript.
         """
+        # As int64 (intp): NumPy fancy-indexes with int32 indices through a
+        # cast, which made the index operations below up to 3x slower.
         idx = np.asarray(indices, dtype=np.int64)
-        raw = np.asarray(predictions)
+        preds = np.asarray(predictions)
         margins = np.asarray(margins, dtype=np.float64)
-        if idx.ndim != 1 or raw.shape != idx.shape or margins.shape != idx.shape:
+        if idx.ndim != 1 or preds.shape != idx.shape or margins.shape != idx.shape:
             raise ValueError("indices, predictions and margins must be 1-D arrays of equal length")
-        if not np.all((raw == 1) | (raw == -1)):
+        if not np.all((preds == 1) | (preds == -1)):
             raise ValueError("predictions must be -1 or +1")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ProtocolError(f"index out of range [0, {self.n})")
+        # More indices than points must repeat one; fewer keep every position in an int32.
+        if idx.size > self.n:
+            raise ProtocolError("an index appears twice in one commit")
         # Duplicate check in O(m): positions naming the same index read
         # back one stamp, so at least one of them differs from its own.
-        positions = np.arange(idx.size)
+        positions = np.arange(idx.size, dtype=np.int32)
         self._stamp[idx] = positions
         if not np.array_equal(self._stamp[idx], positions):
             raise ProtocolError("an index appears twice in one commit")
         if self._predicted[idx].any():
             raise ProtocolError("commit touches an already-predicted index")
-        preds = raw.astype(np.int64)
         truths = self._labels[idx]
         hit = False
         if until_mistake:

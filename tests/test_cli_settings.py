@@ -187,6 +187,10 @@ def test_clustered_rejects_non_finite_params_before_drawing(params, name, tmp_pa
     ({"family": "grid", "d_grid": [1], "n_grid": [500]}, "cannot produce 500 points in dimension 1"),
     ({"n_grid": [3, 100], "seeds": [0, 1]}, "need at least 4 points to schedule, got 3"),
     ({"mode": "verify"}, "mode must be one of ('sphere', 'arbitrary', 'baseline')"),
+    # a repeated grid entry would run its cell twice and count it twice in the fit
+    ({"mode": "baseline", "n_grid": [200, 200, 400, 800]}, "n_grid entries must be distinct"),
+    ({"d_grid": [3, 4, 3]}, "d_grid entries must be distinct"),
+    ({"seeds": [5, 5]}, "seeds entries must be distinct"),
 ])
 def test_bad_report_config_exits_1_before_any_cell(config, needle, tmp_path, monkeypatch, capsys):
     drawn = _no_datasets(monkeypatch)
@@ -245,6 +249,24 @@ def test_points_larger_than_memory_exit_1_before_drawing(command, size, needle, 
     assert main([command, *size, "--out", str(out)]) == 1
     _assert_one_line_error(capsys, needle, "physical memory")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["--family", "low_margin", "--params", '{"gamma": 2.0}'], "gamma must be in (0, 1), got 2.0"),
+    # the checks that depend on n and d read the file's
+    (["--family", "clustered", "--params", '{"num_clusters": 51}'], "num_clusters must be in [1, n]"),
+    (["--family", "subspace_degenerate", "--params", '{"k": 4}'], "must be in [1, d], got 4"),
+])
+def test_family_values_are_checked_with_data(argv, needle, tmp_path, capsys):
+    path = str(tmp_path / "p.jsonl")
+    assert main(["generate", "--n", "50", "--d", "3", "--out", path]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run.json"
+    assert main(["run-sphere", "--data", path, *argv, "--out", str(out)]) == 1
+    _assert_one_line_error(capsys, needle)
+    assert not out.exists()
+    # the same values in range run
+    assert main(["run-sphere", "--data", path, "--family", "clustered", "--params", '{"num_clusters": 50}']) == 0
 
 
 def test_run_ignores_a_truth_orthogonal_to_the_data(tmp_path, capsys):

@@ -22,6 +22,7 @@ from sdlc.cli import main
 from sdlc.datasets import (
     _CLUSTER_MAX_DRAWS,
     ARBITRARY_FAMILIES,
+    MAX_POINTS,
     LabeledDataset,
     check_family_params,
     gen_arbitrary,
@@ -50,6 +51,32 @@ def test_dataset_validation():
         LabeledDataset(np.array([np.inf, 0.0]).reshape(1, 2), [1])
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros(4), [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([257, -1]), [257, -1], np.array([255, -1]), [255, -1], np.array([1, -129]), [1, -129],
+    np.array([1.5, -1.0]), np.array(["1", "-1"]),
+])
+def test_labels_are_checked_before_they_are_narrowed(labels):
+    # An int8 cast would read 257 as 1, 255 as -1 and -129 as 127, and
+    # raise OverflowError on the list [257, -1].
+    with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+        LabeledDataset(np.eye(2), labels)
+
+
+@pytest.mark.parametrize("labels", [[1, -1], np.array([1, -1], dtype=np.int64), np.array([1.0, -1.0])])
+def test_labels_are_stored_as_int8(labels):
+    ds = LabeledDataset(np.eye(2), labels)
+    assert ds.labels.dtype == np.int8 and ds.labels.tolist() == [1, -1]
+
+
+def test_dataset_rejects_n_past_32_bit_indices():
+    # Zero-stride views of one row: neither array is allocated.
+    pts = np.broadcast_to(np.ones((1, 1)), (MAX_POINTS, 1))
+    labels = np.broadcast_to(np.int8(1), (MAX_POINTS,))
+    assert MAX_POINTS == 2**31
+    with pytest.raises(ValueError, match=f"n={MAX_POINTS} points are too many"):
+        LabeledDataset(pts, labels)
 
 
 @pytest.mark.parametrize("n", [2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])

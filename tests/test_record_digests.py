@@ -3,7 +3,11 @@
 Each run's transcript is flattened to its (index, prediction, truth,
 phase) columns in commit order and hashed with sha256. Chunk boundaries
 are left out, so a kernel may commit in larger or smaller pieces, and so
-are margins, whose last bits depend on where a row sits in its BLAS block.
+are margins, whose last bits may depend on how BLAS splits a product:
+the learners score rows in blocks of 2**14 (perceptron.score_rows), which
+read as one product over all the rows on one BLAS thread, while one
+product split across two threads moved the last bit of 3 sphere and 5
+random-order margins in 10**6 at d=10.
 The digests were computed before the windowed ordered-selection kernel
 replaced the full-argsort passes and the fixed-block random order.
 The Monte-Carlo battery's output is pinned the same way in

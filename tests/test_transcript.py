@@ -1,12 +1,14 @@
 """The predict-before-reveal protocol and its transcript log."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sdlc.arbitrary import strong_run
-from sdlc.datasets import LabeledDataset, gen_arbitrary
+from sdlc.datasets import LabeledDataset, gen_arbitrary, gen_uniform_sphere
 from sdlc.errors import ProtocolError
 from sdlc.geometry import RngStream
 from sdlc.oracles import greedy_adversarial_order, random_order_run
@@ -198,3 +200,34 @@ def test_learners_never_read_the_truth(learner, family):
     assert len(with_truth) == len(without)
     for a, b in zip(with_truth, without):
         assert all(np.array_equal(x, y) for x, y in zip(a[:4], b[:4])) and a[4] == b[4]
+
+
+# ------------------------------------------ what the learners hold per point
+
+# Bounds on a learner's peak traced memory above its dataset, in bytes per
+# point at n=2*10^5, d=10: the oracle's flags and stamps, the transcript,
+# the learner's index arrays and its scoring temporaries. Calibrated on
+# data seeds 1000-1039, which read at most 27.5 (run_sphere) and 34.5
+# (random_order_run). With int64 labels, stamps and permutations and the
+# rows gathered whole for scoring, seeds 1000-1019 read at least 52.4 and 42.0.
+_WORKING_BYTES_PER_POINT = {"run_sphere": 36.0, "random_order_run": 38.0}
+
+
+@pytest.mark.parametrize("seed", [2000, 2001, 2002])
+def test_learners_working_memory_per_point(seed):
+    n, d = 200_000, 10
+    ds = gen_uniform_sphere(n, d, RngStream(seed, 0))
+    runs = {"run_sphere": lambda: run_sphere(ds, make_schedule(n, d, 0.1), RngStream(seed, 1)),
+            "random_order_run": lambda: random_order_run(ds, RngStream(seed, 2))}
+    per_point = {}
+    tracemalloc.start()
+    try:
+        for name, run in runs.items():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = run()
+            per_point[name] = (tracemalloc.get_traced_memory()[1] - base) / n
+            del result
+    finally:
+        tracemalloc.stop()
+    assert all(per_point[name] <= bound for name, bound in _WORKING_BYTES_PER_POINT.items()), per_point

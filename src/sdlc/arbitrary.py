@@ -63,7 +63,10 @@ def weak_run(oracle: LabelOracle, rng: RngStream, phase: str = PHASE_WEAK) -> We
     if indices.size == 0:
         raise ValueError("weak_run needs at least one unpredicted point")
 
-    out = forster_transform(oracle.points[indices], 1.0 / (2.0 * oracle.d))
+    # Before the first prediction the transform reads the oracle's points
+    # in place (it never writes them), not a gathered copy.
+    out = forster_transform(oracle.points if indices.size == oracle.n else oracle.points[indices],
+                            1.0 / (2.0 * oracle.d))
     U = out.transformed_points
     k = out.subspace_dim
     orig = indices[out.retained_indices]

@@ -9,6 +9,13 @@ subspace, restrict to the points inside it, and recurse in lower
 dimension. The output always certifies isotropy in the dimension of the
 subspace it retained. The d x d eigendecompositions go to LAPACK
 (`np.linalg.eigh`).
+
+Besides the caller's X, which it never writes, the transform holds one
+(n, d) iterate buffer: each iterate is X @ A.T written over the previous
+one and normalised in place. Row norms and the extraction residuals are
+taken _ROW_BLOCK rows at a time, so their temporaries are per block, and
+the outer buffer is dropped before the transform recurses into a
+subspace.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ CANDIDATE_TOL = 1e-4      # looser nomination tolerance in whitened coordinates
 RANK_FLOOR = 1e-12        # eigenvalues below this are treated as exact zeros
 STALL_WINDOW = 10
 COLLAPSE_WINDOW = 10
+# Rows whose norms and residuals are taken at a time: 1.3 MB of rows at d=10.
+_ROW_BLOCK = 1 << 14
 
 
 def jacobi_eigh(M: np.ndarray):
@@ -69,8 +78,31 @@ def rip_check(X: np.ndarray, delta: float) -> RipReport:
 
 
 def _row_norms(Y: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(Y, axis=1) of a real Y, bit for bit, without its conj() copy."""
-    return np.sqrt(np.add.reduce(Y * Y, axis=1))
+    """np.linalg.norm(Y, axis=1) of a real Y, bit for bit, _ROW_BLOCK rows at a time.
+
+    Each row's sum of squares is its own reduction, so blocking the rows
+    moves no bit, and no whole Y * Y (nor the conj() copy of
+    np.linalg.norm) is ever built.
+    """
+    out = np.empty(len(Y))
+    for start in range(0, len(Y), _ROW_BLOCK):
+        block = Y[start:start + _ROW_BLOCK]
+        np.sqrt(np.add.reduce(block * block, axis=1), out=out[start:start + _ROW_BLOCK])
+    return out
+
+
+def _residual_norms(Z: np.ndarray, U: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """Row norms of Z - (Z @ U) @ U.T, _ROW_BLOCK rows at a time.
+
+    With `scale`, each row of Z is first divided by its entry of scale,
+    inside the block, so the unit rows are never built whole.
+    """
+    out = np.empty(len(Z))
+    for start in range(0, len(Z), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        z = Z[block] if scale is None else Z[block] / scale[block, None]
+        out[block] = _row_norms(z - (z @ U) @ U.T)
+    return out
 
 
 def _normalize_rows(Y: np.ndarray) -> np.ndarray:
@@ -91,6 +123,7 @@ class ForsterOutput:
         transformed_points[r] == normalize(subspace_basis.T @ A @ X[retained_indices[r]])
     and the transformed points pass rip_check at the delta that was
     requested. fraction == len(retained_indices) / len(X) >= k/d - 1e-12.
+    retained_indices are int32: X has fewer than 2**31 rows, as a dataset does.
     """
 
     A: np.ndarray
@@ -119,17 +152,14 @@ def _try_extract(
     orthonormal basis).
     """
     n, d = Y.shape
-    unit_X = X / x_norms[:, None]
     for k in range(1, d):
         U = eigvecs[:, d - k:]
-        resid = Y - (Y @ U) @ U.T
-        cand = _row_norms(resid) <= CANDIDATE_TOL
+        cand = _residual_norms(Y, U) <= CANDIDATE_TOL
         if int(cand.sum()) < 1 or cand.sum() / n < k / d - 1e-12:
             continue
-        _, _, vt = np.linalg.svd(unit_X[cand], full_matrices=False)
+        _, _, vt = np.linalg.svd(X[cand] / x_norms[cand, None], full_matrices=False)
         basis = vt[:k].T
-        strict = unit_X - (unit_X @ basis) @ basis.T
-        inside = _row_norms(strict) <= RESIDUAL_TOL
+        inside = _residual_norms(X, basis, x_norms) <= RESIDUAL_TOL
         count = int(inside.sum())
         if count >= 1 and count / n >= k / d - 1e-12:
             return inside, basis
@@ -145,7 +175,8 @@ def forster_transform(X: np.ndarray, delta: float, max_iters: int | None = None)
     improving - extracts the dense subspace the dynamics exposed and
     recurses inside it. Each iterate's row norms are taken once; the
     first iterate (A = I) is X over the norms of the input check, with
-    no matmul. X itself is never written to.
+    no matmul, and every later one is written over it. X itself is never
+    written to.
     """
     # C order makes the row norms of X the same reduction as those of
     # X @ A.T at A = I, so the first iterate matches the general one.
@@ -165,7 +196,7 @@ def forster_transform(X: np.ndarray, delta: float, max_iters: int | None = None)
         Y = X / x_norms[:, None]
         report = rip_check(Y, delta)
         return ForsterOutput(
-            A=np.eye(1), subspace_basis=np.eye(1), retained_indices=np.arange(n),
+            A=np.eye(1), subspace_basis=np.eye(1), retained_indices=np.arange(n, dtype=np.int32),
             transformed_points=Y, fraction=1.0, rip_report=report, iterations=0,
         )
 
@@ -175,14 +206,17 @@ def forster_transform(X: np.ndarray, delta: float, max_iters: int | None = None)
     last_report: RipReport | None = None
 
     for it in range(1, max_iters + 1):
-        Y = X / x_norms[:, None] if it == 1 else _normalize_rows(X @ A.T)
+        if it == 1:
+            Y = X / x_norms[:, None]
+        else:
+            _normalize_rows(np.matmul(X, A.T, out=Y))
         M = Y.T @ Y / n
         eigvals, eigvecs = jacobi_eigh(M)
         lam_min = float(eigvals[0])
         last_report = RipReport(lam_min, 0.0, d, delta)
         if lam_min >= 1.0 / d - delta:
             return ForsterOutput(
-                A=A, subspace_basis=np.eye(d), retained_indices=np.arange(n),
+                A=A, subspace_basis=np.eye(d), retained_indices=np.arange(n, dtype=np.int32),
                 transformed_points=Y, fraction=1.0, rip_report=last_report,
                 iterations=it,
             )
@@ -196,8 +230,9 @@ def forster_transform(X: np.ndarray, delta: float, max_iters: int | None = None)
         if lam_min < RANK_FLOOR or collapse_streak >= COLLAPSE_WINDOW or stalled:
             found = _try_extract(X, x_norms, Y, eigvecs)
             if found is not None:
+                del Y  # the recursion allocates its own, smaller buffer
                 inside, basis = found
-                members = np.flatnonzero(inside)
+                members = np.flatnonzero(inside).astype(np.int32)
                 coords = X[members] @ basis
                 inner = forster_transform(coords, delta, max_iters)
                 basis_final = basis @ inner.subspace_basis

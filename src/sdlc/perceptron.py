@@ -186,27 +186,30 @@ def margin_sweeps(oracle: LabelOracle, indices: np.ndarray, h: Hypothesis, phase
     point starts the next stretch. key is max_margin_key for the
     self-directed learners, np.abs for the greedy order, and None for
     position order, in which margins are scored lazily, one window at a
-    time. `points`, when given, holds the rows that are scored and updated
-    on in place of oracle.points[indices] (one row per index, e.g. in a
-    transformed frame). Rows are scored through score_rows, and
-    `indices` keep their integer dtype (int32 saves half the bytes).
+    time. `points`, when given, is the frame that is scored and updated
+    on in place of oracle.points: row i holds indices[i], e.g. in a
+    transformed frame. The frame is never copied or written; rows are
+    scored through score_rows and a shrinking int32 position array into
+    it, and `indices` keep their integer dtype (int32 saves half the
+    bytes).
 
-    A stretch's `committed` positions index the `indices` (and `points`)
-    it ran on, which shrink by the committed positions before the next
-    one: a committed prefix is sliced off, anything else dropped through
-    one mask shared by both. A
-    stretch's first window is the previous stretch's length, at least
-    _PASS_FIRST_WINDOW. The sweeps end after a stretch without a mistake,
-    which has committed everything left; callers stop them earlier with
-    itertools.islice or break.
+    A stretch's `committed` positions index the `indices` left when it
+    ran, which shrink by the committed positions before the next one: a
+    committed prefix is sliced off, anything else dropped through one
+    mask, shared with the frame's positions. A stretch's first window is
+    the previous stretch's length, at least _PASS_FIRST_WINDOW. The
+    sweeps end after a stretch without a mistake, which has committed
+    everything left; callers stop them earlier with itertools.islice or
+    break.
     """
     indices = np.asarray(indices)
+    frame = oracle.points if points is None else points
+    # The frame's row of each index left: the index itself in oracle.points.
+    rows = indices if points is None else np.arange(indices.size, dtype=np.int32)
 
     def margins_at(pos):
         """Margins under h of the rows at positions pos, or of every row when pos is None."""
-        if points is None:
-            return score_rows(oracle.points, h.w, indices if pos is None else indices[pos])
-        return score_rows(points, h.w, pos)
+        return score_rows(frame, h.w, rows if pos is None else rows[pos])
 
     window = _PASS_FIRST_WINDOW
     while indices.size:
@@ -220,19 +223,17 @@ def margin_sweeps(oracle: LabelOracle, indices: np.ndarray, h: Hypothesis, phase
             # peak RSS at n=10^6 by 4%.
             del margins
         if hit:
-            last = committed[-1]
-            h = update_or_flip(h, oracle.points[indices[last]] if points is None else points[last])
+            h = update_or_flip(h, frame[rows[committed[-1]]])
         yield PassResult(h, hit, committed)
         size = committed.size
         window = max(size, _PASS_FIRST_WINDOW)
         if committed.max() == size - 1:  # a prefix: slice it off without a copy
-            indices = indices[size:]
-            points = None if points is None else points[size:]
+            rest = slice(size, None)
         else:
-            keep = np.ones(indices.size, dtype=bool)
-            keep[committed] = False
-            indices = indices[keep]
-            points = None if points is None else points[keep]
+            rest = np.ones(indices.size, dtype=bool)
+            rest[committed] = False
+        indices = indices[rest]
+        rows = indices if points is None else rows[rest]
 
 
 def margin_perceptron_pass(

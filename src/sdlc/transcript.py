@@ -132,7 +132,8 @@ class LabelOracle:
         return self._predicted.copy()
 
     def unpredicted_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self._predicted)
+        """Indices not yet predicted, ascending, as int32 (n < 2**31)."""
+        return np.flatnonzero(~self._predicted).astype(np.int32)
 
     def all_predicted(self) -> bool:
         return bool(self._predicted.all())

@@ -13,6 +13,7 @@ from sdlc.forster import (
     RANK_FLOOR,
     RESIDUAL_TOL,
     STALL_WINDOW,
+    _ROW_BLOCK,
     ForsterOutput,
     RipReport,
     forster_transform,
@@ -259,6 +260,10 @@ def _reference_sets():
     half = RngStream(47).gen.permutation(500)[:250]
     yield "subspace_degenerate half", gen_arbitrary(
         "subspace_degenerate", 500, 6, {"rho": 0.9, "k": 2}, RngStream(48)).points[half]
+    # Three row blocks and a remainder: every blocked norm and residual
+    # pass crosses block boundaries, and the transform extracts k=3.
+    yield "subspace_degenerate blocks", gen_arbitrary(
+        "subspace_degenerate", 3 * _ROW_BLOCK + 1234, 6, {"rho": 0.8, "k": 3}, RngStream(49)).points
 
 
 def test_transform_matches_the_reference_whitening_loop():

@@ -9,7 +9,9 @@ read as one product over all the rows on one BLAS thread, while one
 product split across two threads moved the last bit of 3 sphere and 5
 random-order margins in 10**6 at d=10.
 The digests were computed before the windowed ordered-selection kernel
-replaced the full-argsort passes and the fixed-block random order.
+replaced the full-argsort passes and the fixed-block random order; the
+subspace_degenerate strong_run's, whose transforms extract a subspace,
+before the transform reused one iterate buffer and blocked its residuals.
 The Monte-Carlo battery's output is pinned the same way in
 `test_harness.py::test_run_verify_seed0`, which runs it anyway.
 """
@@ -54,6 +56,12 @@ def _strong():
     return strong_run(ds, 0.1, 0.1, RngStream(13, 1)).transcript
 
 
+def _strong_extracting():
+    # 9 of its 32 weak runs' transforms extract a 5-dimensional subspace
+    ds = gen_arbitrary("subspace_degenerate", 600, 10, {}, RngStream(14, 0))
+    return strong_run(ds, 0.1, 0.1, RngStream(14, 1)).transcript
+
+
 PINNED = {
     "run_sphere n=1e4 d=3": (_sphere, 10_000, 8,
         "fd456a04d0c6b24c9576341dcb9633511c404f9be37a823381faaf606fff6ca4"),
@@ -63,6 +71,8 @@ PINNED = {
         "6c4034dae9429f71471695b1664c5fc94e67bd4cee432c1395e5dc49544ee298"),
     "strong_run clustered n=300 d=12": (_strong, 270, 58,
         "2f6ff87196b7d64be30a7ab2341953d52e60af3cbaebf0ee034f4347740c35b5"),
+    "strong_run subspace_degenerate n=600 d=10": (_strong_extracting, 562, 86,
+        "5a23e777b0ee14a172587a8c098c0e813b97f20639361b94012de016f992eb81"),
 }
 
 

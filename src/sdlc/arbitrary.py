@@ -109,10 +109,11 @@ def compute_boost_budget(
     alpha = 1 - 1/(4d) is the residual fraction a successful round leaves
     behind: a weak run aims at a 1/(4k) share of what is left, and k <= d.
     It lies in [0.75, 1) for every d >= 1. c is the per-attempt success
-    probability the retry count insures against.
+    probability the retry count insures against. eps = 1 asks for no
+    coverage: its one round stops before its first weak run.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must be in (0, 1], got {eps}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not 0.0 < c_hat <= 1.0:
@@ -130,7 +131,7 @@ class StrongRunResult:
     """Boosted run: transcript plus coverage and budget accounting."""
 
     transcript: Transcript
-    budget: BoostBudget | None
+    budget: BoostBudget
     rounds_used: int
     attempts: int
     labeled_count: int
@@ -167,8 +168,6 @@ def strong_run(
     """
     oracle = LabelOracle(ds)
     n = oracle.n
-    if eps >= 1.0:
-        return StrongRunResult(oracle.transcript, None, 0, 0, 0, n, False)
     budget = compute_boost_budget(oracle.d, eps, delta, c_hat)
     attempts = 0
     rounds_used = 0

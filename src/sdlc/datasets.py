@@ -20,11 +20,10 @@ import numpy as np
 from .errors import InfeasibleParametersError, MalformedRecordError
 from .fanout import ordered_map
 from .geometry import (
-    UNIT_TOL, RngStream, as_vector, predict_signs, sample_sphere, sample_sphere_batch,
+    ROW_BLOCK, UNIT_TOL, RngStream, as_vector, predict_signs, row_blocks, row_norms,
+    sample_sphere, sample_sphere_batch,
 )
 
-ARBITRARY_FAMILIES = ("clustered", "low_margin", "subspace_degenerate", "grid")
-FAMILIES = ("uniform",) + ARBITRARY_FAMILIES
 _NUMBER_TYPES = frozenset((int, float))
 # The parameters each family reads, and the types each accepts.
 _INT = frozenset((int,))
@@ -36,14 +35,13 @@ FAMILY_PARAMS = {
     "subspace_degenerate": {"rho": _NUMBER_TYPES, "k": _INT},
     "grid": {},
 }
+FAMILIES = tuple(FAMILY_PARAMS)
 # Rejection draws allowed per clustered point. A point whose acceptance
 # rate is below about 1e-4 exhausts them and the parameters are rejected
 # as infeasible, instead of looping forever.
 _CLUSTER_MAX_DRAWS = 100_000
-# Clustered draws per block, and the rows of a pass that scores every shift.
-_CLUSTER_BLOCK = 1 << 14
-# Sizes the other scoring passes of _draw_clustered: the fastest power of two
-# from 2^10 to 2^15 on rejection-heavy clustered sets.
+# Sizes the scoring passes of _draw_clustered that score only some shifts: the
+# fastest power of two from 2^10 to 2^15 on rejection-heavy clustered sets.
 _CLUSTER_WINDOW = 1 << 12
 # Coordinates that save_jsonl formats, and bytes of record lines that
 # load_jsonl parses, per block. A 3000-point file at d=5 is two blocks to
@@ -55,8 +53,6 @@ _LOAD_BYTES = 1 << 19
 _PARSE_LINES = 1 << 8
 # The whitespace JSON allows around a value.
 _JSON_SPACE = b" \t\n\r"
-# Rows that LabeledDataset checks at a time.
-_CHECK_BLOCK = 1 << 14
 # Datasets hold fewer points than this, so the learners' index arrays are int32.
 MAX_POINTS = 2**31
 
@@ -85,8 +81,8 @@ class LabeledDataset:
                              f"{MAX_POINTS - 1} with 32-bit integers")
         if labels.shape != (self.n,):
             raise ValueError("labels must be a 1-D array matching the point count")
-        # Checked _CHECK_BLOCK rows at a time, so no check makes an n-sized temporary.
-        blocks = [slice(start, start + _CHECK_BLOCK) for start in range(0, self.n, _CHECK_BLOCK)]
+        # Checked a block at a time, so no check makes an n-sized temporary.
+        blocks = row_blocks(self.n)
         if not all(np.isfinite(self.points[b]).all() for b in blocks):
             raise ValueError("points contain non-finite coordinates")
         if labels.dtype.kind not in "biuf" or not all(
@@ -196,9 +192,10 @@ def _draw_clustered(n: int, centers: np.ndarray, spread: float, floor: float,
     until one, normalised, has |x . w*| >= floor.
 
     Bit-identical to one normal(size=d) draw and one test at a time: a
-    block of draws holds the same numbers, and np.vecdot takes each row's
-    norm and margin as the one-row dot products do. Draw t belongs to
-    point t - r, r the rejections before it, so its centre is (t - r) % K.
+    block of ROW_BLOCK draws holds the same numbers, and np.vecdot takes
+    each row's norm and margin as the one-row dot products do (the
+    add.reduce of geometry.row_norms need not). Draw t belongs to point
+    t - r, r the rejections before it, so its centre is (t - r) % K.
     A window of draws is scored in one pass under each shift of r that it
     may reach, all K of them when that is few, and the walk through it
     costs one bisect per rejection. A window whose shifts run out ends at
@@ -210,7 +207,7 @@ def _draw_clustered(n: int, centers: np.ndarray, spread: float, floor: float,
     seen = rejected = 0  # draws walked and rejected, for the block and window sizes
     while i < n:
         # The draws the points left need at the acceptance rate so far, rounded up.
-        m = min(_CLUSTER_BLOCK, -(-(n - i) * (seen + 1) // (seen - rejected + 1)))
+        m = min(ROW_BLOCK, -(-(n - i) * (seen + 1) // (seen - rejected + 1)))
         z = prng.gen.normal(size=(m, d))
         z *= spread
         j = 0
@@ -218,13 +215,13 @@ def _draw_clustered(n: int, centers: np.ndarray, spread: float, floor: float,
             # About sqrt(_CLUSTER_WINDOW / (rate d)) draws, and twice their expected
             # rejections as shifts, weigh a pass's fixed cost against scoring unused
             # shifts. With all K shifts the walk wraps round them and never runs
-            # out, so the window grows to _CLUSTER_BLOCK rows of scores.
+            # out, so the window grows to ROW_BLOCK rows of scores.
             rate = (rejected + 1) / (seen + 1)
             width = min(m - j, max(1, math.isqrt(int(_CLUSTER_WINDOW / (rate * d)))))
             shifts = 1 + math.ceil(2 * rate * width)
             if shifts >= num_clusters:
                 shifts = num_clusters
-                width = min(m - j, max(width, _CLUSTER_BLOCK // num_clusters))
+                width = min(m - j, max(width, ROW_BLOCK // num_clusters))
             owner = (i + np.arange(width) - np.arange(shifts)[:, None]) % num_clusters
             cand = centers[owner]
             cand += z[j:j + width]
@@ -318,6 +315,16 @@ def _gen_grid(n: int, d: int, params: dict, rng: RngStream) -> LabeledDataset:
     return LabeledDataset(pts, predict_labels(pts, w_star), w_star)
 
 
+# The generator of each family but uniform, which gen_uniform_sphere draws.
+_ARBITRARY_GENERATORS = {
+    "clustered": _gen_clustered,
+    "low_margin": _gen_low_margin,
+    "subspace_degenerate": _gen_subspace_degenerate,
+    "grid": _gen_grid,
+}
+ARBITRARY_FAMILIES = tuple(_ARBITRARY_GENERATORS)
+
+
 def gen_arbitrary(family: str, n: int, d: int, params: dict | None, rng: RngStream) -> LabeledDataset:
     """Adversarial-but-separable dataset families for the general learner."""
     if n < 1:
@@ -327,15 +334,9 @@ def gen_arbitrary(family: str, n: int, d: int, params: dict | None, rng: RngStre
     params = {} if params is None else params
     check_family_params(family, params)
     check_family_values(family, params, n, d)
-    if family == "clustered":
-        return _gen_clustered(n, d, params, rng)
-    if family == "low_margin":
-        return _gen_low_margin(n, d, params, rng)
-    if family == "subspace_degenerate":
-        return _gen_subspace_degenerate(n, d, params, rng)
-    if family == "grid":
-        return _gen_grid(n, d, params, rng)
-    raise ValueError(f"unknown family {family!r}; expected one of {ARBITRARY_FAMILIES}")
+    if family not in _ARBITRARY_GENERATORS:  # check_family_params let only uniform through
+        raise ValueError(f"family {family!r} is drawn by gen_uniform_sphere, not gen_arbitrary")
+    return _ARBITRARY_GENERATORS[family](n, d, params, rng)
 
 
 def split_buckets(n: int, num_buckets: int, rng: RngStream) -> list[np.ndarray]:
@@ -396,13 +397,13 @@ def _format_rows(points: np.ndarray, labels: np.ndarray, rows: tuple[int, int]) 
 def load_jsonl(path: str) -> LabeledDataset:
     """Read a file written by save_jsonl, checking every line.
 
-    A header whose points would not fit in physical memory, or whose n
-    records could not fit in the rest of a file, is rejected on line 1,
-    before the arrays are allocated. The record lines are parsed on every
-    usable core (fanout) in blocks of whole lines of about _LOAD_BYTES
-    bytes. A worker reads its block from a file itself; from a pipe, this
-    process reads the blocks and sends them. Either way this process holds
-    the arrays and at most a few blocks. The first bad line, in line
+    A header whose n is below 1, whose points would not fit in physical
+    memory, or whose n records could not fit in the rest of a file, is
+    rejected on line 1, before the arrays are allocated. The record lines
+    are parsed on every usable core (fanout) in blocks of whole lines of
+    about _LOAD_BYTES bytes. A worker reads its block from a file itself;
+    from a pipe, this process reads the blocks and sends them. Either way
+    this process holds the arrays and at most a few blocks. The first bad line, in line
     order, is reported as a line-by-line read would report it.
     """
     with open(path, "rb") as fh:
@@ -419,8 +420,8 @@ def load_jsonl(path: str) -> LabeledDataset:
             # Exact types, as for the records: int() would accept 2.9, "2" and true.
             if type(d) is not int or d < 1:
                 raise ValueError(f"d must be an integer >= 1, got {d!r}")
-            if type(n) is not int or n < 0:
-                raise ValueError(f"n must be an integer >= 0, got {n!r}")
+            if type(n) is not int or n < 1:
+                raise ValueError(f"n must be an integer >= 1, got {n!r}")
             # The shortest record line, '{"x":[0,0],"y":1}' at d=2, has 2d + 13 bytes.
             if size is not None and n * (2 * d + 12) > size - len(first):
                 raise ValueError(f"n={n} records of dimension {d} cannot fit in the "
@@ -446,7 +447,7 @@ def load_jsonl(path: str) -> LabeledDataset:
                 read += len(block_labels)
     if read != n:
         raise MalformedRecordError(read + 1, f"header says n={n} but file has {read} records")
-    norms = np.sqrt(np.einsum("ij,ij->i", points, points))  # no (n, d) temporary
+    norms = row_norms(points)
     off_sphere = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
     if off_sphere.size:
         raise MalformedRecordError(int(off_sphere[0]) + 2, "x must be a finite unit vector")

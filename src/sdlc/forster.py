@@ -8,14 +8,16 @@ the concentrated mass apart from the rest; we then extract the dense
 subspace, restrict to the points inside it, and recurse in lower
 dimension. The output always certifies isotropy in the dimension of the
 subspace it retained. The d x d eigendecompositions go to LAPACK
-(`np.linalg.eigh`).
+(`np.linalg.eigh`). In one dimension every set of nonzero points is
+already in radial isotropic position, and the loop certifies it at its
+first iterate.
 
 Besides the caller's X, which it never writes, the transform holds one
 (n, d) iterate buffer: each iterate is X @ A.T written over the previous
 one and normalised in place. Row norms and the extraction residuals are
-taken _ROW_BLOCK rows at a time, so their temporaries are per block, and
-the outer buffer is dropped before the transform recurses into a
-subspace.
+taken a geometry.row_blocks block at a time, so their temporaries are per
+block, and the outer buffer is dropped before the transform recurses into
+a subspace.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError
+from .geometry import row_blocks, row_norms
 
 RESIDUAL_TOL = 1e-9       # membership tolerance for subspace extraction
 CANDIDATE_TOL = 1e-4      # looser nomination tolerance in whitened coordinates
 RANK_FLOOR = 1e-12        # eigenvalues below this are treated as exact zeros
 STALL_WINDOW = 10
 COLLAPSE_WINDOW = 10
-# Rows whose norms and residuals are taken at a time: 1.3 MB of rows at d=10.
-_ROW_BLOCK = 1 << 14
 
 
 def jacobi_eigh(M: np.ndarray):
@@ -73,41 +74,26 @@ def rip_check(X: np.ndarray, delta: float) -> RipReport:
     n, d = X.shape
     M = X.T @ X / n
     eigvals, _ = jacobi_eigh(M)
-    dev = float(np.max(np.abs(np.linalg.norm(X, axis=1) - 1.0)))
+    dev = float(np.max(np.abs(row_norms(X) - 1.0)))
     return RipReport(float(eigvals[0]), dev, d, delta)
 
 
-def _row_norms(Y: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(Y, axis=1) of a real Y, bit for bit, _ROW_BLOCK rows at a time.
-
-    Each row's sum of squares is its own reduction, so blocking the rows
-    moves no bit, and no whole Y * Y (nor the conj() copy of
-    np.linalg.norm) is ever built.
-    """
-    out = np.empty(len(Y))
-    for start in range(0, len(Y), _ROW_BLOCK):
-        block = Y[start:start + _ROW_BLOCK]
-        np.sqrt(np.add.reduce(block * block, axis=1), out=out[start:start + _ROW_BLOCK])
-    return out
-
-
 def _residual_norms(Z: np.ndarray, U: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """Row norms of Z - (Z @ U) @ U.T, _ROW_BLOCK rows at a time.
+    """Row norms of Z - (Z @ U) @ U.T, one geometry.row_blocks block at a time.
 
     With `scale`, each row of Z is first divided by its entry of scale,
     inside the block, so the unit rows are never built whole.
     """
     out = np.empty(len(Z))
-    for start in range(0, len(Z), _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
+    for block in row_blocks(len(Z)):
         z = Z[block] if scale is None else Z[block] / scale[block, None]
-        out[block] = _row_norms(z - (z @ U) @ U.T)
+        out[block] = row_norms(z - (z @ U) @ U.T)
     return out
 
 
 def _normalize_rows(Y: np.ndarray) -> np.ndarray:
     """Divide each row of Y by its norm, in place; Y must be an array the caller owns."""
-    norms = _row_norms(Y)
+    norms = row_norms(Y)
     if np.any(norms < 1e-300):
         raise ValueError("map is singular at some point (Ax = 0)")
     Y /= norms[:, None]
@@ -184,21 +170,13 @@ def forster_transform(X: np.ndarray, delta: float, max_iters: int | None = None)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a nonempty (n, d) array")
     n, d = X.shape
-    x_norms = _row_norms(X)
+    x_norms = row_norms(X)
     if np.any(x_norms < 1e-300):
         raise ValueError("points must be nonzero")
     if not 0.0 < delta < 1.0 / d + 1e-15:
         raise ValueError(f"delta must lie in (0, 1/d), got {delta} at d={d}")
     if max_iters is None:
         max_iters = max(1, math.ceil(10.0 * d * math.log(1.0 / delta)))
-
-    if d == 1:
-        Y = X / x_norms[:, None]
-        report = rip_check(Y, delta)
-        return ForsterOutput(
-            A=np.eye(1), subspace_basis=np.eye(1), retained_indices=np.arange(n, dtype=np.int32),
-            transformed_points=Y, fraction=1.0, rip_report=report, iterations=0,
-        )
 
     A = np.eye(d)
     collapse_streak = 0

@@ -93,10 +93,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if type(value) not in _NUMBER_TYPES:
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        for name in ("delta", "eps"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0 and not (name == "eps" and value == 1.0):
-                raise ValueError(f"{name} must be in (0, 1), got {value}")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if not 0.0 < self.eps <= 1.0:
+            raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         for name in ("c_prime", "c_init"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -298,7 +298,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             check_family_values(cfg.family, cfg.family_params, n, d)
             if cfg.mode == "sphere":
                 make_schedule(n, d, cfg.delta, cfg.c_prime)
-        if cfg.mode == "arbitrary" and cfg.eps < 1.0:
+        if cfg.mode == "arbitrary":
             compute_boost_budget(d, cfg.eps, cfg.delta, cfg.c_hat)
     for d in cfg.d_grid:
         for n in cfg.n_grid:

@@ -23,16 +23,10 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .errors import InfeasibleParametersError, RegimeError
-from .geometry import RngStream, sample_sphere
+from .geometry import ROW_BLOCK, RngStream, sample_sphere
 from .perceptron import Hypothesis, margin_sweeps
 from .transcript import LabelOracle, Transcript
 
-# Points per block of the Monte-Carlo kernels. A block and the region
-# test's scratch take 0.7-1.1 MB at d = 3..6, inside a core's L2 cache,
-# and a check holds nothing else that grows with n or m. Blocks of
-# 2**15 and 2**16 points ran no faster in run_verify and raised its peak
-# RSS by about 4 and 10 MB (CHANGES.md).
-_BLOCK_POINTS = 1 << 14
 # The tail check's level: mc_disagreement_mass's check="tail" expects the
 # Hoeffding threshold to be exceeded with frequency at most TAIL_DELTA.
 TAIL_DELTA = 0.01
@@ -68,20 +62,20 @@ def _disagreement_frame(d: int, theta: float) -> tuple[float, float]:
 class _RegionDraws:
     """Standard normal points drawn into one reused block, with their region mask.
 
-    The block of _BLOCK_POINTS rows and the region test's scratch are
-    allocated once. One draw of r rows returns the same numbers as
-    consecutive draws adding up to r rows, so the block size moves no
-    point of the stream.
+    The block of ROW_BLOCK rows and the region test's scratch are
+    allocated once: 0.7-1.1 MB at d = 3..6, inside a core's L2 cache. One
+    draw of r rows returns the same numbers as consecutive draws adding up
+    to r rows, so the block size moves no point of the stream.
     """
 
     def __init__(self, gen: np.random.Generator, d: int, v: tuple[float, float]):
         self.gen, self.v = gen, v
-        self.x = np.empty((_BLOCK_POINTS, d))
-        self.scratch = np.empty((2, _BLOCK_POINTS))
-        self.hit = np.empty(_BLOCK_POINTS, dtype=bool)
+        self.x = np.empty((ROW_BLOCK, d))
+        self.scratch = np.empty((2, ROW_BLOCK))
+        self.hit = np.empty(ROW_BLOCK, dtype=bool)
 
     def draw(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next `rows` points (at most _BLOCK_POINTS) and the mask of those in the region.
+        """The next `rows` points (at most ROW_BLOCK) and the mask of those in the region.
 
         A row is in the disagreement region when u . x and v . x differ in
         sign or vanish: (x_0 v_0 + x_1 v_1) x_1 <= 0. The test reads only
@@ -107,15 +101,16 @@ def _trial_blocks(draws: _RegionDraws, n: int, trials: int):
     points per trial; a trial may span several blocks.
     """
     total = n * trials
-    for start in range(0, total, _BLOCK_POINTS):
-        yield start, *draws.draw(min(_BLOCK_POINTS, total - start))
+    for start in range(0, total, ROW_BLOCK):
+        yield start, *draws.draw(min(ROW_BLOCK, total - start))
 
 
 def _unit_margins(rows: np.ndarray) -> np.ndarray:
     """The margin |u . x| / |x| of each row x of `rows`, which it overwrites.
 
     The norm is np.linalg.norm(rows, axis=1) without its two copies: the
-    same squares, summed in the same order.
+    same squares, summed in the same order. Squaring in place the block it
+    owns saves the block copy that geometry.row_norms would make.
     """
     margins = np.abs(rows[:, 1])
     rows *= rows
@@ -189,7 +184,7 @@ def _conditional_best_margins(
     best = np.zeros(trials)
     have = 0
     while have < total:
-        x, hit = draws.draw(min(_BLOCK_POINTS, max(8192, int(1.5 * (total - have) / accept_rate))))
+        x, hit = draws.draw(min(ROW_BLOCK, max(8192, int(1.5 * (total - have) / accept_rate))))
         keep = x[hit][:total - have]
         if not len(keep):
             continue

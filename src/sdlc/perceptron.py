@@ -39,12 +39,10 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegenerateHypothesisError
-from .geometry import predict_signs
+from .geometry import predict_signs, row_blocks
 from .transcript import LabelOracle
 
 NORM_FLOOR = 1e-300
-# Rows that score_rows gathers and scores at a time: 1.3 MB of rows at d=10.
-_SCORE_BLOCK = 1 << 14
 
 
 class Hypothesis:
@@ -77,8 +75,8 @@ def update_or_flip(h: Hypothesis, x: np.ndarray) -> Hypothesis:
     return Hypothesis(-h.w)
 
 
-def score_rows(points: np.ndarray, w: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-    """points[idx] @ w (points @ w when idx is None), _SCORE_BLOCK rows at a time.
+def score_rows(points: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """points[idx] @ w, one geometry.row_blocks block of idx at a time.
 
     Only one block of gathered rows exists at a time. On the separation
     grid (d=10, n up to 10^6) the margins equal, bit for bit, those of
@@ -86,11 +84,9 @@ def score_rows(points: np.ndarray, w: np.ndarray, idx: np.ndarray | None = None)
     run on one thread or two. That one product split across two threads
     differs from both in the last bit of a few margins in 10^6.
     """
-    m = len(points) if idx is None else len(idx)
-    out = np.empty(m)
-    for start in range(0, m, _SCORE_BLOCK):
-        block = slice(start, start + _SCORE_BLOCK)
-        np.matmul(points[block] if idx is None else points[idx[block]], w, out=out[block])
+    out = np.empty(len(idx))
+    for block in row_blocks(len(idx)):
+        np.matmul(points[idx[block]], w, out=out[block])
     return out
 
 

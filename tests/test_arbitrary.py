@@ -49,9 +49,12 @@ def test_boost_budget_reference_values():
 
 
 def test_boost_budget_validation():
+    # eps = 1 asks for no coverage: one round, which stops before its first weak run.
+    assert compute_boost_budget(4, 1.0, 0.1).runs_outer == 1
     for kwargs in (
         dict(eps=0.0, delta=0.1),
-        dict(eps=1.0, delta=0.1),
+        dict(eps=1.5, delta=0.1),
+        dict(eps=math.nan, delta=0.1),
         dict(eps=0.1, delta=0.0),
         dict(eps=0.1, delta=0.1, c_hat=0.0),
         dict(eps=0.1, delta=0.1, c_hat=1.5),
@@ -182,9 +185,9 @@ def test_weak_run_matches_per_point_reference(data):
 def test_strong_run_trivial_eps():
     ds = gen_uniform_sphere(50, 3, RngStream(1, 0))
     res = strong_run(ds, 1.0, 0.1, RngStream(1, 1))
-    assert res.budget is None and res.rounds_used == 0 and res.attempts == 0
+    assert res.budget.runs_outer == 1 and res.rounds_used == 0 and res.attempts == 0
     assert res.labeled_count == 0 and res.coverage == 0.0
-    assert not res.partial and res.mistakes == 0
+    assert not res.partial and res.mistakes == 0 and len(res.transcript) == 0
 
 
 def test_strong_run_single_point():

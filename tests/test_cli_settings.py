@@ -269,6 +269,17 @@ def test_family_values_are_checked_with_data(argv, needle, tmp_path, capsys):
     assert main(["run-sphere", "--data", path, "--family", "clustered", "--params", '{"num_clusters": 50}']) == 0
 
 
+@pytest.mark.parametrize("command", ["generate", "run-sphere", "run-arbitrary", "baseline"])
+def test_data_file_with_no_points_exits_1(command, tmp_path, capsys):
+    # A boosted run on it once ended in a division by zero in its coverage.
+    path = tmp_path / "none.jsonl"
+    path.write_text('{"d": 2, "n": 0, "ground_truth": null}\n')
+    out = tmp_path / "out.json"
+    assert main([command, "--data", str(path), "--out", str(out)]) == 1
+    _assert_one_line_error(capsys, "line 1", "n must be an integer >= 1, got 0")
+    assert not out.exists()
+
+
 def test_run_ignores_a_truth_orthogonal_to_the_data(tmp_path, capsys):
     # Points in the e1-e2 plane, every label +1: consistent with the truth
     # e3 (sign 0 reads +1), which no retained direction can express.

@@ -143,6 +143,7 @@ def test_unknown_family_rejected():
     ("subspace_degenerate", {"k": 2.0}, "k must be an integer"),
     ("subspace_degenerate", {"rho": True}, "rho must be a number"),
     ("clustered", [1], "must be a JSON object"),
+    ("uniform", {}, "family 'uniform' is drawn by gen_uniform_sphere"),
 ])
 def test_family_params_are_checked(family, params, needle):
     with pytest.raises(ValueError) as err:
@@ -577,6 +578,7 @@ def test_jsonl_bad_dimension(tmp_path):
         '{"d": 2, "n": true, "ground_truth": null}',
         '{"d": 2, "n": 1.0, "ground_truth": null}',
         '{"d": 2, "n": -1, "ground_truth": null}',
+        '{"d": 2, "n": 0, "ground_truth": null}',
         '{"d": 2, "n": 1000000000000}',  # 16 TB of floats; the file holds one record
         '{"d": 2, "ground_truth": null}',
         '{"d": 2, "n": 1, "ground_truth": [1.0]}',

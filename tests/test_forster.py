@@ -13,7 +13,6 @@ from sdlc.forster import (
     RANK_FLOOR,
     RESIDUAL_TOL,
     STALL_WINDOW,
-    _ROW_BLOCK,
     ForsterOutput,
     RipReport,
     forster_transform,
@@ -21,7 +20,7 @@ from sdlc.forster import (
     rip_check,
     soft_margin_audit,
 )
-from sdlc.geometry import RngStream, sample_sphere_batch
+from sdlc.geometry import ROW_BLOCK, RngStream, sample_sphere_batch
 
 
 def cross_polytope(d):
@@ -152,9 +151,13 @@ def test_transform_finds_planted_subspace():
 
 
 def test_transform_d1_short_circuit():
+    # In one dimension the general loop certifies its first iterate.
     out = forster_transform(np.array([[2.0], [-3.0]]), 0.5)
-    assert out.iterations == 0 and out.subspace_dim == 1
-    assert np.allclose(out.transformed_points.ravel(), [1.0, -1.0])
+    assert out.iterations == 1 and out.subspace_dim == 1
+    assert np.array_equal(out.A, [[1.0]]) and np.array_equal(out.subspace_basis, [[1.0]])
+    assert np.array_equal(out.retained_indices, [0, 1]) and out.fraction == 1.0
+    assert np.array_equal(out.transformed_points, [[1.0], [-1.0]])
+    assert out.rip_report.lambda_min == 1.0 and out.rip_report.passed
 
 
 def test_transform_domain_errors():
@@ -212,9 +215,6 @@ def _forster_reference(X, delta, max_iters=None):
     assert not np.any(np.linalg.norm(X, axis=1) < 1e-300)
     if max_iters is None:
         max_iters = max(1, math.ceil(10.0 * d * math.log(1.0 / delta)))
-    if d == 1:
-        Y = _unit_rows_reference(X)
-        return ForsterOutput(np.eye(1), np.eye(1), np.arange(n), Y, 1.0, rip_check(Y, delta), 0)
     A = np.eye(d)
     collapse_streak = 0
     lam_history = []
@@ -263,7 +263,7 @@ def _reference_sets():
     # Three row blocks and a remainder: every blocked norm and residual
     # pass crosses block boundaries, and the transform extracts k=3.
     yield "subspace_degenerate blocks", gen_arbitrary(
-        "subspace_degenerate", 3 * _ROW_BLOCK + 1234, 6, {"rho": 0.8, "k": 3}, RngStream(49)).points
+        "subspace_degenerate", 3 * ROW_BLOCK + 1234, 6, {"rho": 0.8, "k": 3}, RngStream(49)).points
 
 
 def test_transform_matches_the_reference_whitening_loop():

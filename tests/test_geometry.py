@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from sdlc.datasets import gen_uniform_sphere
 from sdlc.geometry import (
+    ROW_BLOCK,
     RngStream,
     angle,
     as_vector,
     predict_sign,
+    row_blocks,
+    row_norms,
     sample_sphere,
     sample_sphere_batch,
     tan_theta,
@@ -144,6 +147,24 @@ def test_uniform_generation_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * ds.points.nbytes
+
+
+# -------------------------------------------------------------- row passes
+
+@pytest.mark.parametrize("m", [3 * ROW_BLOCK + 1234, 0])
+def test_row_norms_match_numpy_bit_for_bit(m):
+    # Rows of scales from 1e-3 to 1e3 across three block edges: a block that
+    # took another block's rows, or a reduction in another order, shows here.
+    gen = RngStream(29).gen
+    x = gen.normal(size=(m, 7)) * 10.0 ** gen.uniform(-3.0, 3.0, size=(m, 1))
+    assert row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 1, ROW_BLOCK, ROW_BLOCK + 1])
+def test_row_blocks_cover_each_row_once(m):
+    blocks = [range(m)[block] for block in row_blocks(m)]
+    assert [i for rows in blocks for i in rows] == list(range(m))
+    assert all(0 < len(rows) <= ROW_BLOCK for rows in blocks)
 
 
 # ---------------------------------------------------------------- validation

@@ -253,7 +253,7 @@ def test_cli_import_stays_light():
     # inside the functions that need them, or in the tests.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     heavy = ("concurrent.futures", "multiprocessing", "logging", "tracemalloc", "scipy", "hypothesis")
-    code = ("import sys, sdlc.cli, sdlc.harness; "
+    code = ("import sys, sdlc.cli, sdlc.harness, sdlc.arbitrary; "
             f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 import sdlc.oracles
 from sdlc.datasets import LabeledDataset, predict_labels
 from sdlc.errors import InfeasibleParametersError, RegimeError
-from sdlc.geometry import RngStream, sample_sphere, sample_sphere_batch
+from sdlc.geometry import ROW_BLOCK, RngStream, sample_sphere, sample_sphere_batch
 from sdlc.oracles import (
-    _BLOCK_POINTS,
     TailCheckResult,
     _best_margin_c,
     greedy_adversarial_order,
@@ -130,7 +129,7 @@ def test_disagreement_mass_matches_per_trial_reference(check, monkeypatch):
 
 
 def test_disagreement_mass_trial_across_three_blocks():
-    d, theta, n, trials = 2, math.pi / 3, 2 * _BLOCK_POINTS + 1, 100
+    d, theta, n, trials = 2, math.pi / 3, 2 * ROW_BLOCK + 1, 100
     fast = mc_disagreement_mass(d, theta, n, trials, vrng(9))
     fractions = _reference_disagreement_fractions(d, theta, n, trials, vrng(9))
     p = theta / math.pi
@@ -259,7 +258,7 @@ def test_best_mistake_margin_matches_per_trial_reference():
 
 
 def test_best_mistake_margin_trial_across_three_blocks():
-    d, theta, n, s, trials = 4, 0.005, 2 * _BLOCK_POINTS + 1, 1.0, 20
+    d, theta, n, s, trials = 4, 0.005, 2 * ROW_BLOCK + 1, 1.0, 20
     fast = mc_best_mistake_margin(d, theta, n, s, 2, trials, vrng(10))
     want = _reference_best_margin_result(d, theta, n, s, trials, vrng(10))
     assert 0.0 < fast.empirical < 1.0
@@ -282,7 +281,7 @@ def test_best_mistake_margin_case1_picks_c():
 
 # ------------------------------------------------------------- kernel memory
 
-_FAR_ABOVE_BLOCK = 4 * _BLOCK_POINTS + 1
+_FAR_ABOVE_BLOCK = 4 * ROW_BLOCK + 1
 
 
 @pytest.mark.parametrize("kernel, at_verify, far", [
